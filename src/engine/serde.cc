@@ -1,30 +1,36 @@
 #include "engine/serde.h"
 
+#include <cstddef>
 #include <cstring>
 
-#include "common/hash.h"
+#include "store/crc32c.h"
 
 namespace prompt {
 
+// Tuples cross the wire as their in-memory bytes, so Tuple's layout is the
+// wire layout: ts, key, value, 8 bytes each, no padding.
+static_assert(offsetof(Tuple, ts) == 0 && offsetof(Tuple, key) == 8 &&
+                  offsetof(Tuple, value) == 16 && sizeof(Tuple) == 24,
+              "EncodeBatch/DecodeBlock copy Tuple bytes verbatim");
+
 namespace {
 
-constexpr uint32_t kBatchMagic = 0x50524d42;  // "PRMB"
+constexpr uint32_t kRetiredBatchMagic = 0x50524d42;  // "PRMB"
+/// magic u32 + checksum u64.
+constexpr size_t kEnvelopeBytes = 12;
+/// batch_id, seal_time, num_tuples, num_keys, partition_cost, num_blocks.
+constexpr size_t kBatchHeaderBytes = 5 * 8 + 4;
+/// block_id u32 + tuple count u64 + fragment count u64.
+constexpr size_t kBlockHeaderBytes = 20;
+constexpr size_t kTupleBytes = sizeof(Tuple);
+/// key u64 + count u64 + split u8.
+constexpr size_t kFragmentBytes = 17;
 
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-void PutI64(int64_t v, std::string* out) { PutU64(static_cast<uint64_t>(v), out); }
-void PutF64(double v, std::string* out) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  PutU64(bits, out);
+/// Writes `v` at `out`; returns the next write position.
+template <typename T>
+char* Put(char* out, T v) {
+  std::memcpy(out, &v, sizeof(T));
+  return out + sizeof(T);
 }
 
 bool GetU32(const std::string& in, size_t* off, uint32_t* v) {
@@ -42,39 +48,33 @@ bool GetU64(const std::string& in, size_t* off, uint64_t* v) {
 bool GetI64(const std::string& in, size_t* off, int64_t* v) {
   return GetU64(in, off, reinterpret_cast<uint64_t*>(v));
 }
-bool GetF64(const std::string& in, size_t* off, double* v) {
-  uint64_t bits;
-  if (!GetU64(in, off, &bits)) return false;
-  std::memcpy(v, &bits, 8);
-  return true;
+
+size_t BlockBytes(const DataBlock& block) {
+  return kBlockHeaderBytes + block.size() * kTupleBytes +
+         block.cardinality() * kFragmentBytes;
 }
 
-uint64_t Checksum(const std::string& bytes, size_t from) {
-  // FNV over the payload, mixed; cheap and adequate for corruption checks.
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = from; i < bytes.size(); ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ULL;
+/// Writes exactly BlockBytes(block) bytes at `out`.
+char* PutBlock(const DataBlock& block, char* out) {
+  out = Put<uint32_t>(out, block.block_id());
+  out = Put<uint64_t>(out, block.size());
+  out = Put<uint64_t>(out, block.cardinality());
+  if (!block.tuples().empty()) {
+    std::memcpy(out, block.tuples().data(), block.size() * kTupleBytes);
+    out += block.size() * kTupleBytes;
   }
-  return Mix64(h);
+  for (const KeyFragment& f : block.fragments()) {
+    out = Put<uint64_t>(out, f.key);
+    out = Put<uint64_t>(out, f.count);
+    *out++ = f.split ? 1 : 0;
+  }
+  return out;
 }
 
 }  // namespace
 
-void EncodeBlock(const DataBlock& block, std::string* out) {
-  PutU32(block.block_id(), out);
-  PutU64(block.size(), out);
-  PutU64(block.cardinality(), out);
-  for (const Tuple& t : block.tuples()) {
-    PutI64(t.ts, out);
-    PutU64(t.key, out);
-    PutF64(t.value, out);
-  }
-  for (const KeyFragment& f : block.fragments()) {
-    PutU64(f.key, out);
-    PutU64(f.count, out);
-    out->push_back(f.split ? 1 : 0);
-  }
+uint64_t BatchChecksum(std::string_view payload) {
+  return Crc32c(payload.data(), payload.size());
 }
 
 Result<DataBlock> DecodeBlock(const std::string& bytes, size_t* offset) {
@@ -86,23 +86,20 @@ Result<DataBlock> DecodeBlock(const std::string& bytes, size_t* offset) {
   }
   // Sanity bound: each tuple needs 24 bytes, each fragment 17. Compare by
   // division — a forged count near 2^64 would wrap a multiplied form and
-  // sail straight past the check into a giant reserve().
+  // sail straight past the check into a giant allocation.
   const uint64_t avail = bytes.size() - *offset;
-  if (tuples > avail / 24) {
+  if (tuples > avail / kTupleBytes) {
     return Status::Invalid("block header inconsistent with payload size");
   }
-  if (fragments > (avail - tuples * 24) / 17) {
+  if (fragments > (avail - tuples * kTupleBytes) / kFragmentBytes) {
     return Status::Invalid("block header inconsistent with payload size");
   }
   DataBlock block(block_id);
-  block.mutable_tuples().reserve(tuples);
-  for (uint64_t i = 0; i < tuples; ++i) {
-    Tuple t;
-    if (!GetI64(bytes, offset, &t.ts) || !GetU64(bytes, offset, &t.key) ||
-        !GetF64(bytes, offset, &t.value)) {
-      return Status::Invalid("truncated tuple payload");
-    }
-    block.Append(t);
+  if (tuples > 0) {
+    std::vector<Tuple>& out = block.mutable_tuples();
+    out.resize(tuples);
+    std::memcpy(out.data(), bytes.data() + *offset, tuples * kTupleBytes);
+    *offset += tuples * kTupleBytes;
   }
   auto& frags = block.mutable_fragments();
   frags.reserve(fragments);
@@ -119,19 +116,22 @@ Result<DataBlock> DecodeBlock(const std::string& bytes, size_t* offset) {
 }
 
 std::string EncodeBatch(const PartitionedBatch& batch) {
-  std::string payload;
-  PutU64(batch.batch_id, &payload);
-  PutI64(batch.seal_time, &payload);
-  PutU64(batch.num_tuples, &payload);
-  PutU64(batch.num_keys, &payload);
-  PutI64(batch.partition_cost, &payload);
-  PutU32(static_cast<uint32_t>(batch.blocks.size()), &payload);
-  for (const DataBlock& block : batch.blocks) EncodeBlock(block, &payload);
+  size_t bytes = kEnvelopeBytes + kBatchHeaderBytes;
+  for (const DataBlock& block : batch.blocks) bytes += BlockBytes(block);
+  std::string out(bytes, '\0');
+  char* p = out.data() + kEnvelopeBytes;
+  p = Put<uint64_t>(p, batch.batch_id);
+  p = Put<int64_t>(p, batch.seal_time);
+  p = Put<uint64_t>(p, batch.num_tuples);
+  p = Put<uint64_t>(p, batch.num_keys);
+  p = Put<int64_t>(p, batch.partition_cost);
+  p = Put<uint32_t>(p, static_cast<uint32_t>(batch.blocks.size()));
+  for (const DataBlock& block : batch.blocks) p = PutBlock(block, p);
 
-  std::string out;
-  PutU32(kBatchMagic, &out);
-  PutU64(Checksum(payload, 0), &out);
-  out += payload;
+  const std::string_view payload(out.data() + kEnvelopeBytes,
+                                 bytes - kEnvelopeBytes);
+  char* envelope = Put<uint32_t>(out.data(), kBatchMagic);
+  Put<uint64_t>(envelope, BatchChecksum(payload));
   return out;
 }
 
@@ -139,13 +139,17 @@ Result<PartitionedBatch> DecodeBatch(const std::string& bytes) {
   size_t off = 0;
   uint32_t magic = 0;
   uint64_t checksum = 0;
-  if (!GetU32(bytes, &off, &magic) || magic != kBatchMagic) {
-    return Status::Invalid("bad batch magic");
+  if (!GetU32(bytes, &off, &magic)) return Status::Invalid("bad batch magic");
+  if (magic == kRetiredBatchMagic) {
+    return Status::Invalid(
+        "retired batch format PRMB (FNV-1a checksum); this build reads "
+        "only PRMC batches");
   }
+  if (magic != kBatchMagic) return Status::Invalid("bad batch magic");
   if (!GetU64(bytes, &off, &checksum)) {
     return Status::Invalid("truncated checksum");
   }
-  if (Checksum(bytes, off) != checksum) {
+  if (BatchChecksum(std::string_view(bytes).substr(off)) != checksum) {
     return Status::Invalid("batch payload checksum mismatch");
   }
   PartitionedBatch batch;
@@ -161,7 +165,7 @@ Result<PartitionedBatch> DecodeBatch(const std::string& bytes) {
   // Every block costs at least its 20-byte header; a count promising more
   // blocks than the remaining bytes could hold is forged (and must not
   // drive the reserve() below).
-  if (num_blocks > (bytes.size() - off) / 20) {
+  if (num_blocks > (bytes.size() - off) / kBlockHeaderBytes) {
     return Status::Invalid("batch header inconsistent with payload size");
   }
   batch.blocks.reserve(num_blocks);

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/hash.h"
+#include "store/crc32c.h"
 
 namespace prompt {
 
 namespace {
 
-constexpr uint32_t kWindowMagic = 0x50524d57;  // "PRMW"
+constexpr uint32_t kWindowMagic = 0x50524d58;  // "PRMX"
 
 void PutU64(uint64_t v, std::string* out) {
   char buf[8];
@@ -35,12 +35,7 @@ bool GetF64(const std::string& in, size_t* off, double* v) {
 }
 
 uint64_t WindowChecksum(const std::string& bytes, size_t from) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = from; i < bytes.size(); ++i) {
-    h ^= static_cast<unsigned char>(bytes[i]);
-    h *= 1099511628211ULL;
-  }
-  return Mix64(h);
+  return Crc32c(bytes.data() + from, bytes.size() - from);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "replay/journal.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -13,8 +14,6 @@
 namespace prompt {
 
 namespace {
-
-constexpr size_t kPayloadHeaderBytes = 13;  // kind u8 + owner u32 + batch u64
 
 void PutU8(std::string* out, uint8_t v) {
   out->push_back(static_cast<char>(v));
@@ -42,12 +41,18 @@ void PutF64(std::string* out, double v) {
   PutU64(out, bits);
 }
 
-void PutVarint(std::string* out, uint64_t v) {
+/// Bytes PutVarint writes for `v`: one per started group of 7 bits.
+size_t VarintBytes(uint64_t v) {
+  return static_cast<size_t>(std::bit_width(v | 1) + 6) / 7;
+}
+
+char* PutVarint(char* out, uint64_t v) {
   while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *out++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out->push_back(static_cast<char>(v));
+  *out++ = static_cast<char>(v);
+  return out;
 }
 
 uint64_t ZigZag(int64_t v) {
@@ -121,17 +126,6 @@ class Cursor {
   size_t pos_;
 };
 
-std::string MakePayload(JournalRecordKind kind, uint32_t owner,
-                        uint64_t batch_id, const std::string& body) {
-  std::string payload;
-  payload.reserve(kPayloadHeaderBytes + body.size());
-  PutU8(&payload, static_cast<uint8_t>(kind));
-  PutU32(&payload, owner);
-  PutU64(&payload, batch_id);
-  payload.append(body);
-  return payload;
-}
-
 /// Strict `seg-NNNNNN.log` name parse, mirroring the block store's.
 bool ParseSegmentFilename(const std::string& name, uint64_t* id) {
   constexpr const char* kPrefix = "seg-";
@@ -165,40 +159,55 @@ std::vector<std::pair<uint64_t, std::string>> ListSegments(
 }
 
 std::string EncodeTuples(const std::vector<Tuple>& tuples) {
-  std::string body;
-  // Worst case ~10B per varint; typical batches encode at 3-5B/tuple, so
-  // one generous reservation beats per-append growth on the hot path.
-  body.reserve(32 + tuples.size() * 12);
-  bool all_unit = true;
-  for (const Tuple& t : tuples) {
-    if (t.value != 1.0) {
-      all_unit = false;
-      break;
-    }
-  }
-  PutU8(&body, all_unit ? 1 : 0);
-  PutVarint(&body, tuples.size());
   // Key runs: adjacent same-key tuples collapse to one (key, count) pair.
-  uint64_t run_count = 0;
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    if (i == 0 || tuples[i].key != tuples[i - 1].key) ++run_count;
-  }
-  PutVarint(&body, run_count);
-  for (size_t i = 0; i < tuples.size();) {
+  // A first pass sizes the record exactly; the second writes it through a
+  // pointer.
+  auto run_end = [&tuples](size_t i) {
     size_t j = i + 1;
     while (j < tuples.size() && tuples[j].key == tuples[i].key) ++j;
-    PutVarint(&body, tuples[i].key);
-    PutVarint(&body, j - i);
+    return j;
+  };
+  uint64_t run_count = 0;
+  size_t bytes = 1 + VarintBytes(tuples.size());
+  for (size_t i = 0; i < tuples.size();) {
+    const size_t j = run_end(i);
+    ++run_count;
+    bytes += VarintBytes(tuples[i].key) + VarintBytes(j - i);
     i = j;
   }
+  bytes += VarintBytes(run_count);
+  bool all_unit = true;
   TimeMicros prev = 0;
   for (const Tuple& t : tuples) {
-    PutVarint(&body, ZigZag(t.ts - prev));
+    all_unit = all_unit && t.value == 1.0;
+    bytes += VarintBytes(ZigZag(t.ts - prev));
+    prev = t.ts;
+  }
+  if (!all_unit) bytes += 8 * tuples.size();
+
+  std::string body(bytes, '\0');
+  char* out = body.data();
+  *out++ = all_unit ? 1 : 0;
+  out = PutVarint(out, tuples.size());
+  out = PutVarint(out, run_count);
+  for (size_t i = 0; i < tuples.size();) {
+    const size_t j = run_end(i);
+    out = PutVarint(out, tuples[i].key);
+    out = PutVarint(out, j - i);
+    i = j;
+  }
+  prev = 0;
+  for (const Tuple& t : tuples) {
+    out = PutVarint(out, ZigZag(t.ts - prev));
     prev = t.ts;
   }
   if (!all_unit) {
-    for (const Tuple& t : tuples) PutF64(&body, t.value);
+    for (const Tuple& t : tuples) {
+      std::memcpy(out, &t.value, 8);
+      out += 8;
+    }
   }
+  PROMPT_CHECK(out == body.data() + body.size());
   return body;
 }
 
@@ -787,10 +796,12 @@ Result<SegmentWriter*> JournalWriter::ActiveSegment() {
 Status JournalWriter::Append(JournalRecordKind kind, uint32_t owner,
                              uint64_t batch_id, const std::string& body) {
   PROMPT_ASSIGN_OR_RETURN(SegmentWriter * segment, ActiveSegment());
-  const std::string payload = MakePayload(kind, owner, batch_id, body);
-  PROMPT_ASSIGN_OR_RETURN(uint64_t offset, segment->Append(payload));
+  const auto header =
+      PayloadHeader(static_cast<uint8_t>(kind), owner, batch_id);
+  PROMPT_ASSIGN_OR_RETURN(
+      uint64_t offset, segment->Append({header.data(), header.size()}, body));
   (void)offset;
-  appended_bytes_ += kRecordHeaderBytes + payload.size();
+  appended_bytes_ += kRecordHeaderBytes + header.size() + body.size();
   if (options_.fsync == FsyncPolicy::kAlways) {
     PROMPT_RETURN_NOT_OK(segment->Sync());
   }

@@ -1,10 +1,13 @@
 #include "store/block_store.h"
 
+#include <fcntl.h>
+#include <sys/uio.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string_view>
 
 #include "common/logging.h"
@@ -16,31 +19,6 @@ namespace {
 
 constexpr uint8_t kRecordPut = 1;
 constexpr uint8_t kRecordTombstone = 2;
-/// kind u8 + owner u32 + batch_id u64.
-constexpr size_t kPayloadHeaderBytes = 13;
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-/// Builds the record payload framing a put/tombstone.
-std::string MakePayload(uint8_t kind, uint32_t owner, uint64_t batch_id,
-                        const std::string& body) {
-  std::string payload;
-  payload.reserve(kPayloadHeaderBytes + body.size());
-  payload.push_back(static_cast<char>(kind));
-  PutU32(owner, &payload);
-  PutU64(batch_id, &payload);
-  payload += body;
-  return payload;
-}
 
 struct ParsedPayload {
   uint8_t kind = 0;
@@ -261,24 +239,29 @@ DurableBlockStore::Segment* DurableBlockStore::ActiveSegment() {
   return &segments_.emplace(id, std::move(segment)).first->second;
 }
 
-Status DurableBlockStore::AppendRecord(const std::string& payload,
-                                       Location* loc) {
+Status DurableBlockStore::AppendRecord(uint8_t kind, uint32_t owner,
+                                       uint64_t batch_id,
+                                       std::string_view body, Location* loc) {
   Segment* segment = ActiveSegment();
   if (segment == nullptr) {
     return Status::IOError("store: no writable segment");
   }
-  PROMPT_ASSIGN_OR_RETURN(uint64_t offset, segment->writer->Append(payload));
+  const auto header = PayloadHeader(kind, owner, batch_id);
+  PROMPT_ASSIGN_OR_RETURN(
+      uint64_t offset,
+      segment->writer->Append({header.data(), header.size()}, body));
   segment->bytes = segment->writer->size();
   if (options_.fsync == FsyncPolicy::kAlways) {
     PROMPT_RETURN_NOT_OK(segment->writer->Sync());
     if (syncs_total_ != nullptr) syncs_total_->Increment();
   }
+  const uint64_t payload_bytes = kPayloadHeaderBytes + body.size();
   loc->segment_id = segment->id;
   loc->offset = offset;
-  loc->payload_bytes = payload.size();
+  loc->payload_bytes = payload_bytes;
   if (appends_total_ != nullptr) {
     appends_total_->Increment();
-    append_bytes_total_->Increment(kRecordHeaderBytes + payload.size());
+    append_bytes_total_->Increment(kRecordHeaderBytes + payload_bytes);
     disk_bytes_gauge_->Set(static_cast<double>(disk_bytes()));
   }
   return Status::OK();
@@ -288,8 +271,7 @@ Status DurableBlockStore::Put(uint32_t owner, uint64_t batch_id,
                               const std::string& encoded) {
   Stopwatch watch;
   Location loc;
-  PROMPT_RETURN_NOT_OK(AppendRecord(
-      MakePayload(kRecordPut, owner, batch_id, encoded), &loc));
+  PROMPT_RETURN_NOT_OK(AppendRecord(kRecordPut, owner, batch_id, encoded, &loc));
   const auto key = std::make_pair(owner, batch_id);
   if (auto it = index_.find(key); it != index_.end()) {
     // Overwrite (a re-put): the old record becomes dead weight.
@@ -368,21 +350,29 @@ Result<std::string> DurableBlockStore::Get(uint32_t owner,
   const Location& loc = it->second;
   const auto seg = segments_.find(loc.segment_id);
   PROMPT_CHECK(seg != segments_.end());
-  std::ifstream in(seg->second.path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + seg->second.path);
-  in.seekg(static_cast<std::streamoff>(loc.offset));
-  std::string frame(kRecordHeaderBytes + loc.payload_bytes, '\0');
-  in.read(frame.data(), static_cast<std::streamsize>(frame.size()));
-  if (in.gcount() != static_cast<std::streamsize>(frame.size())) {
-    return Status::IOError("short read from " + seg->second.path);
+  const std::string& path = seg->second.path;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IOError("cannot open " + path);
+  // The frame and payload headers land on the stack, the body straight in
+  // the returned string.
+  char head[kRecordHeaderBytes + kPayloadHeaderBytes];
+  std::string body(loc.payload_bytes - kPayloadHeaderBytes, '\0');
+  iovec parts[2] = {{head, sizeof(head)}, {body.data(), body.size()}};
+  const ssize_t n =
+      ::preadv(fd, parts, 2, static_cast<off_t>(loc.offset));
+  ::close(fd);
+  if (n != static_cast<ssize_t>(sizeof(head) + body.size())) {
+    return Status::IOError("short read from " + path);
   }
   uint32_t stored = 0;
-  std::memcpy(&stored, frame.data() + 4, 4);
-  if (MaskCrc32c(Crc32c(frame.data() + kRecordHeaderBytes,
-                        loc.payload_bytes)) != stored) {
-    return Status::IOError("record checksum mismatch in " + seg->second.path);
+  std::memcpy(&stored, head + 4, 4);
+  const uint32_t crc = Crc32c(body.data(), body.size(),
+                              Crc32c(head + kRecordHeaderBytes,
+                                     kPayloadHeaderBytes));
+  if (MaskCrc32c(crc) != stored) {
+    return Status::IOError("record checksum mismatch in " + path);
   }
-  return frame.substr(kRecordHeaderBytes + kPayloadHeaderBytes);
+  return body;
 }
 
 bool DurableBlockStore::Contains(uint32_t owner, uint64_t batch_id) const {
@@ -394,8 +384,8 @@ Status DurableBlockStore::Evict(uint32_t owner, uint64_t batch_id) {
   auto it = index_.find(key);
   if (it == index_.end()) return Status::OK();
   Location tombstone_loc;
-  PROMPT_RETURN_NOT_OK(AppendRecord(
-      MakePayload(kRecordTombstone, owner, batch_id, ""), &tombstone_loc));
+  PROMPT_RETURN_NOT_OK(
+      AppendRecord(kRecordTombstone, owner, batch_id, {}, &tombstone_loc));
   Segment& segment = segments_.at(it->second.segment_id);
   --segment.live_puts;
   segment.live_put_bytes -= it->second.payload_bytes - kPayloadHeaderBytes;

@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -166,7 +167,8 @@ class DurableBlockStore {
 
   std::string SegmentPath(uint64_t id) const;
   Segment* ActiveSegment();  ///< rolls to a new segment when full
-  Status AppendRecord(const std::string& payload, Location* loc);
+  Status AppendRecord(uint8_t kind, uint32_t owner, uint64_t batch_id,
+                      std::string_view body, Location* loc);
   /// Deletes zero-live segments from the front of the log.
   void CollectPrefix();
   /// Applies retain_batches / retain_bytes after a Put (tombstoning through

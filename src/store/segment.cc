@@ -1,11 +1,12 @@
 #include "store/segment.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "store/crc32c.h"
 
@@ -19,34 +20,73 @@ uint32_t ReadU32(const char* p) {
   return v;
 }
 
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-Status WriteAll(int fd, const char* data, size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::write(fd, data, len);
+Status WriteAll(int fd, std::span<iovec> parts) {
+  while (!parts.empty()) {
+    const ssize_t n = ::writev(fd, parts.data(), static_cast<int>(parts.size()));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("segment write: ") +
                              std::strerror(errno));
     }
-    data += n;
-    len -= static_cast<size_t>(n);
+    parts = ConsumeIovecs(parts, static_cast<size_t>(n));
   }
   return Status::OK();
 }
 
+/// The whole file in one sized read (recovery reads every segment).
+Result<std::string> ReadFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return Status::IOError("cannot open segment " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("cannot read segment " + path);
+  }
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IOError("cannot read segment " + path);
+    }
+    if (n == 0) break;  // the file shrank since fstat
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(got);
+  return bytes;
+}
+
 }  // namespace
 
+std::array<char, kPayloadHeaderBytes> PayloadHeader(uint8_t kind,
+                                                    uint32_t owner,
+                                                    uint64_t batch_id) {
+  std::array<char, kPayloadHeaderBytes> header;
+  header[0] = static_cast<char>(kind);
+  std::memcpy(header.data() + 1, &owner, 4);
+  std::memcpy(header.data() + 5, &batch_id, 8);
+  return header;
+}
+
+std::span<iovec> ConsumeIovecs(std::span<iovec> parts, size_t written) {
+  size_t done = 0;
+  while (done < parts.size() && written >= parts[done].iov_len) {
+    written -= parts[done].iov_len;
+    ++done;
+  }
+  parts = parts.subspan(done);
+  if (!parts.empty()) {
+    parts[0].iov_base = static_cast<char*>(parts[0].iov_base) + written;
+    parts[0].iov_len -= written;
+  }
+  return parts;
+}
+
 Result<SegmentScan> ScanSegmentFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open segment " + path);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::IOError("cannot read segment " + path);
+  PROMPT_ASSIGN_OR_RETURN(const std::string bytes, ReadFile(path));
 
   SegmentScan scan;
   scan.file_bytes = bytes.size();
@@ -131,10 +171,9 @@ Result<std::unique_ptr<SegmentWriter>> SegmentWriter::Create(
     return Status::IOError("create segment " + path + ": " +
                            std::strerror(errno));
   }
-  std::string header;
-  PutU32(kSegmentMagic, &header);
-  PutU32(kSegmentVersion, &header);
-  if (Status st = WriteAll(fd, header.data(), header.size()); !st.ok()) {
+  uint32_t header[2] = {kSegmentMagic, kSegmentVersion};
+  iovec part = {header, sizeof(header)};
+  if (Status st = WriteAll(fd, {&part, 1}); !st.ok()) {
     ::close(fd);
     return st;
   }
@@ -165,18 +204,23 @@ Result<std::unique_ptr<SegmentWriter>> SegmentWriter::OpenExisting(
       new SegmentWriter(path, fd, size, size));
 }
 
-Result<uint64_t> SegmentWriter::Append(const std::string& payload) {
-  if (payload.size() > kMaxRecordBytes) {
+Result<uint64_t> SegmentWriter::Append(std::string_view header,
+                                       std::string_view body) {
+  const uint64_t payload_bytes = header.size() + body.size();
+  if (payload_bytes > kMaxRecordBytes) {
     return Status::Invalid("segment record exceeds the size bound");
   }
-  std::string frame;
-  frame.reserve(kRecordHeaderBytes + payload.size());
-  PutU32(static_cast<uint32_t>(payload.size()), &frame);
-  PutU32(MaskCrc32c(Crc32c(payload.data(), payload.size())), &frame);
-  frame += payload;
-  PROMPT_RETURN_NOT_OK(WriteAll(fd_, frame.data(), frame.size()));
+  uint32_t frame[2] = {
+      static_cast<uint32_t>(payload_bytes),
+      MaskCrc32c(Crc32c(body.data(), body.size(),
+                        Crc32c(header.data(), header.size())))};
+  iovec parts[3] = {
+      {frame, sizeof(frame)},
+      {const_cast<char*>(header.data()), header.size()},
+      {const_cast<char*>(body.data()), body.size()}};
+  PROMPT_RETURN_NOT_OK(WriteAll(fd_, parts));
   const uint64_t offset = size_;
-  size_ += frame.size();
+  size_ += kRecordHeaderBytes + payload_bytes;
   return offset;
 }
 

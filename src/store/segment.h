@@ -6,9 +6,14 @@
 // before the first bad byte is trusted, nothing after it is.
 #pragma once
 
+#include <sys/uio.h>
+
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -21,7 +26,17 @@ inline constexpr uint32_t kSegmentVersion = 1;
 inline constexpr uint64_t kSegmentHeaderBytes = 8;
 
 /// Record framing: [payload length u32][masked crc32c(payload) u32][payload].
+/// A payload is written as a header part and a body part, but framed and
+/// checksummed as the one byte string they form.
 inline constexpr uint64_t kRecordHeaderBytes = 8;
+
+/// The header both logs built on segments (block store, journal) open every
+/// record payload with, before the record's body:
+/// [kind u8][owner u32][batch_id u64].
+inline constexpr size_t kPayloadHeaderBytes = 13;
+std::array<char, kPayloadHeaderBytes> PayloadHeader(uint8_t kind,
+                                                    uint32_t owner,
+                                                    uint64_t batch_id);
 
 /// Records larger than this fail the sanity check during a scan (a corrupt
 /// length prefix must not drive a multi-gigabyte read).
@@ -56,6 +71,11 @@ struct SegmentScan {
 /// fail the Result; corruption does not — it is reported in the scan.
 Result<SegmentScan> ScanSegmentFile(const std::string& path);
 
+/// \brief Drops the first `written` bytes from the parts of a writev():
+/// parts written in full are skipped and the first part written in part is
+/// trimmed in place. Returns the parts still to write (empty when done).
+std::span<iovec> ConsumeIovecs(std::span<iovec> parts, size_t written);
+
 /// \brief Truncates `path` to `size` bytes and fsyncs the result (torn-tail
 /// repair and crash simulation both reduce files, never extend them; the
 /// fsync keeps the repair durable across a machine crash).
@@ -67,7 +87,7 @@ Status SyncDir(const std::string& dir);
 
 /// \brief Appender over one segment file with an explicit fsync watermark.
 ///
-/// Append() buffers nothing — every record is write()n to the file — but
+/// Append() buffers nothing — every record is writev()n to the file — but
 /// only Sync() advances the *durability* watermark. SimulateCrash() on the
 /// owning store truncates to that watermark: the worst-case machine-crash
 /// outcome where nothing unsynced survived.
@@ -87,8 +107,10 @@ class SegmentWriter {
   ~SegmentWriter();
   PROMPT_DISALLOW_COPY_AND_ASSIGN(SegmentWriter);
 
-  /// Appends one framed record; returns the record's file offset.
-  Result<uint64_t> Append(const std::string& payload);
+  /// Appends one framed record whose payload is `header` followed by
+  /// `body` — one writev(), no copy of either — and returns the record's
+  /// file offset. Short writes and EINTR are retried.
+  Result<uint64_t> Append(std::string_view header, std::string_view body = {});
 
   /// fsyncs the file and advances the durability watermark to size().
   Status Sync();

@@ -4,10 +4,10 @@
 // arithmetic — always a clean Status, never a crash or giant allocation.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <string>
 
-#include "common/hash.h"
 #include "common/random.h"
 #include "core/prompt_partitioner.h"
 #include "engine/serde.h"
@@ -15,6 +15,12 @@
 
 namespace prompt {
 namespace {
+
+// EncodeBatch/DecodeBlock copy tuples as raw bytes; the wire layout is
+// (ts, key, value) at these offsets.
+static_assert(offsetof(Tuple, ts) == 0);
+static_assert(offsetof(Tuple, key) == 8);
+static_assert(offsetof(Tuple, value) == 16);
 
 using testing::RunBatch;
 using testing::ZipfTuples;
@@ -98,22 +104,28 @@ TEST(SerdeHardeningTest, ForgedBlockCountRejected) {
   PutU64(0, &payload);               // num_keys
   PutU64(0, &payload);               // partition_cost
   PutU32(0xFFFFFFFFu, &payload);     // num_blocks: forged
-  // Re-encode through the real framing by splicing into a valid envelope:
-  // take an empty batch, replace its payload, recompute nothing — instead
-  // verify the decoder rejects before checksum use would matter.
   std::string out;
-  PutU32(0x50524d42u, &out);  // kBatchMagic
-  // FNV-1a + Mix64, mirrored from serde.cc, so the checksum verifies.
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : payload) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  PutU64(Mix64(h), &out);
+  PutU32(kBatchMagic, &out);
+  PutU64(BatchChecksum(payload), &out);
   out += payload;
   auto r = DecodeBatch(out);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("inconsistent"), std::string::npos);
+}
+
+TEST(SerdeHardeningTest, OldFormatBatchRejected) {
+  // A batch in the retired "PRMB" envelope (FNV-1a checksum) must fail as
+  // Invalid and say why, never be decoded under the new checksum rules.
+  std::string bytes = SmallBatchBytes();
+  const uint32_t retired_magic = 0x50524d42u;  // "PRMB"
+  std::memcpy(bytes.data(), &retired_magic, 4);
+  auto r = DecodeBatch(bytes);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalid());
+  EXPECT_NE(r.status().message().find("retired"), std::string::npos)
+      << r.status().message();
+  EXPECT_NE(r.status().message().find("PRMB"), std::string::npos)
+      << r.status().message();
 }
 
 TEST(SerdeHardeningTest, RandomGarbageCorpusNeverCrashes) {

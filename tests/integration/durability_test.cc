@@ -5,6 +5,7 @@
 // Nothing in between: recovery must never fabricate output.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include "baselines/factory.h"
 #include "engine/engine.h"
 #include "fault/fault_injector.h"
+#include "store/block_store.h"
 #include "workload/sources.h"
 
 namespace prompt {
@@ -213,6 +215,43 @@ TEST(DurabilityTest, WindowEvictionTombstonesTheStore) {
   EXPECT_EQ(engine.durable_recovery().batches_recovered, 3u);
   EXPECT_EQ(engine.durable_recovery().first_recovered_batch, 3u);
   EXPECT_EQ(engine.durable_recovery().last_recovered_batch, 5u);
+}
+
+TEST(DurabilityTest, OldFormatBatchIsDataLossNotMisdecoded) {
+  // A store written before the PRMC batch format: its batches are rejected
+  // one by one and confessed as data_loss, never decoded. Batch 1 is
+  // rewritten here in the retired "PRMB" envelope; 0 and 2 stay current.
+  const std::string dir = FreshDir("old_format");
+  {
+    auto source = MakeSource();
+    MicroBatchEngine engine(StoreOpts(dir, FsyncPolicy::kBatch, 2),
+                            JobSpec::WordCount(10),
+                            CreatePartitioner(PartitionerType::kPrompt),
+                            source.get());
+    engine.Run(3);
+  }
+  {
+    StoreOptions store;
+    store.dir = dir;
+    auto durable = DurableBlockStore::Open(store);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    auto bytes = (*durable)->Get(/*owner=*/0, /*batch_id=*/1);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    const uint32_t retired_magic = 0x50524d42u;  // "PRMB"
+    std::memcpy(bytes->data(), &retired_magic, 4);
+    ASSERT_TRUE((*durable)->Put(0, 1, *bytes).ok());
+    ASSERT_TRUE((*durable)->Sync().ok());
+  }
+  auto source = MakeSource();
+  MicroBatchEngine engine(StoreOpts(dir, FsyncPolicy::kBatch, 2),
+                          JobSpec::WordCount(10),
+                          CreatePartitioner(PartitionerType::kPrompt),
+                          source.get());
+  EXPECT_TRUE(engine.init_status().ok());
+  EXPECT_TRUE(engine.durable_recovery().data_loss);
+  EXPECT_EQ(engine.durable_recovery().batches_recovered, 2u);
+  EXPECT_EQ(engine.durable_recovery().first_recovered_batch, 0u);
+  EXPECT_EQ(engine.durable_recovery().last_recovered_batch, 2u);
 }
 
 TEST(DurabilityTest, UnopenableStoreFailsInitStatusNotSilently) {

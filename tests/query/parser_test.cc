@@ -97,6 +97,11 @@ struct BadQuery {
   const char* why;
 };
 
+// Prints the case label. Without this gtest prints the struct's raw bytes,
+// i.e. two string addresses that change with every run, and CTest's test
+// discovery builds the test names from that printout.
+void PrintTo(const BadQuery& q, std::ostream* os) { *os << q.why; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadQuery> {};
 
 TEST_P(ParserErrorTest, RejectsInvalidQueries) {

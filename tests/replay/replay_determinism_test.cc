@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <utility>
@@ -216,6 +217,34 @@ TEST(ReplayDeterminismTest, TwoTenantRunRoundTrips) {
           << "owner " << owner << " batch " << i;
     }
   }
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(ReplayDeterminismTest, RecordedFixtureReplaysBitIdentically) {
+  // A two-tenant durable run recorded by an earlier build:
+  //   promptctl --queries=examples/two_tenants.query --store_dir=<tmp>
+  //             --record=<fixture> --batches=6 --rate=2000
+  // The other tests record and replay with one binary, so a drift in the
+  // record framing or the tuple encoding would pass them; here the journal
+  // is old bytes, and re-recording it must give those bytes back.
+  const std::string fixture =
+      std::string(PROMPT_TESTDATA_DIR) + "/two_tenants_journal";
+  const std::string journal_dir = FreshDir("replay_fixture");
+  const std::string output_dir = FreshDir("replay_fixture.out");
+  std::filesystem::copy(fixture, journal_dir);
+  const ReplayResult result = MustReplay(journal_dir, output_dir);
+  EXPECT_EQ(result.mode, "multi");
+  EXPECT_EQ(result.attempts, 1u);
+  EXPECT_EQ(result.batches, 6u);
+  EXPECT_TRUE(result.BitIdentical()) << result.diff.summary;
+  EXPECT_EQ(result.diff.identical_batches, 12u);  // 6 batches x 2 tenants
+  const std::string recorded = FileBytes(fixture + "/seg-000000.log");
+  ASSERT_FALSE(recorded.empty());
+  EXPECT_TRUE(FileBytes(output_dir + "/seg-000000.log") == recorded);
 }
 
 TEST(ReplayDiffTest, PerturbedRerunPinsTheFirstDivergentBatch) {

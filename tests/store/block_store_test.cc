@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "obs/metrics_registry.h"
 #include "store/block_store.h"
 #include "store/crc32c.h"
@@ -67,6 +68,130 @@ TEST(Crc32cTest, MaskRoundTripAndDisplacement) {
     EXPECT_EQ(UnmaskCrc32c(MaskCrc32c(crc)), crc);
     EXPECT_NE(MaskCrc32c(crc), crc);  // the point of masking
   }
+}
+
+std::string RandomBytes(size_t len, uint64_t seed) {
+  Rng rng(seed);
+  std::string s(len, '\0');
+  for (char& c : s) c = static_cast<char>(rng.NextBounded(256));
+  return s;
+}
+
+// Computed by a static initialiser, before main(): the CPU-feature check
+// behind Crc32c must already give the right path then.
+const uint32_t kCrcAtStaticInit = Crc32c("123456789", 9);
+
+TEST(Crc32cTest, WorksDuringStaticInitialisation) {
+  EXPECT_EQ(kCrcAtStaticInit, 0xE3069283u);
+}
+
+TEST(Crc32cTest, DispatchedEqualsPortableAtEveryLengthAndOffset) {
+  // Crc32c may run the SSE4.2 instruction; the table path must agree
+  // byte-for-byte, including the unaligned heads and sub-word tails.
+  const std::string data = RandomBytes(1024 + 8, 1);
+  size_t mismatches = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const char* p = data.data() + offset;
+      if (Crc32c(p, len) != Crc32cPortable(p, len)) ++mismatches;
+      if (Crc32c(p, len, 0x9E3779B9u) != Crc32cPortable(p, len, 0x9E3779B9u)) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32cTest, InitChainsAcrossEverySplitPoint) {
+  const std::string data = RandomBytes(1024, 2);
+  const uint32_t whole = Crc32cPortable(data.data(), data.size());
+  EXPECT_EQ(Crc32c(data.data(), data.size()), whole);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const char* tail = data.data() + split;
+    const size_t tail_len = data.size() - split;
+    EXPECT_EQ(Crc32c(tail, tail_len, Crc32c(data.data(), split)), whole)
+        << "split=" << split;
+    EXPECT_EQ(Crc32cPortable(tail, tail_len,
+                             Crc32cPortable(data.data(), split)),
+              whole)
+        << "split=" << split;
+  }
+}
+
+/// The bytes a writev() over `parts` would still write.
+std::string Remaining(std::span<iovec> parts) {
+  std::string s;
+  for (const iovec& part : parts) {
+    s.append(static_cast<const char*>(part.iov_base), part.iov_len);
+  }
+  return s;
+}
+
+TEST(SegmentTest, ConsumeIovecsAtEverySplitPoint) {
+  // A record as SegmentWriter::Append writes it — frame, payload header,
+  // body — and a tombstone-shaped one whose body is empty. Every pair of
+  // short writes (first, then second) must leave exactly the suffix.
+  for (std::string body : {std::string("body bytes of a record"),
+                           std::string()}) {
+    std::string frame = "LENGCRC!";
+    std::string header = "kownerbatchid";
+    std::string record = frame + header + body;
+    for (size_t first = 0; first <= record.size(); ++first) {
+      for (size_t second = 0; first + second <= record.size(); ++second) {
+        iovec parts[3] = {{frame.data(), frame.size()},
+                          {header.data(), header.size()},
+                          {body.data(), body.size()}};
+        std::span<iovec> left = ConsumeIovecs(parts, first);
+        ASSERT_EQ(Remaining(left), record.substr(first)) << "first=" << first;
+        left = ConsumeIovecs(left, second);
+        ASSERT_EQ(Remaining(left), record.substr(first + second))
+            << "first=" << first << " second=" << second;
+        EXPECT_EQ(left.empty(), first + second == record.size());
+      }
+    }
+  }
+}
+
+TEST(SegmentTest, HeaderBodyAppendFramesLikeOnePayload) {
+  // Append(header, body) must put on disk exactly the bytes of a
+  // one-part record of header + body: one length, one CRC over both.
+  const std::string dir = FreshDir("seg_two_part");
+  std::filesystem::create_directories(dir);
+  const std::string header = "0123456789abc";
+  const std::string body = Body(3, 500);
+  std::string files[2];
+  for (int two_part = 0; two_part < 2; ++two_part) {
+    const std::string path =
+        dir + "/seg-00000" + std::to_string(two_part) + ".log";
+    auto writer = SegmentWriter::Create(path);
+    ASSERT_TRUE(writer.ok());
+    auto offset = two_part ? (*writer)->Append(header, body)
+                           : (*writer)->Append(header + body);
+    ASSERT_TRUE(offset.ok());
+    EXPECT_EQ(*offset, kSegmentHeaderBytes);
+    EXPECT_EQ((*writer)->size(),
+              kSegmentHeaderBytes + kRecordHeaderBytes + header.size() +
+                  body.size());
+    writer->reset();
+    std::ifstream in(path, std::ios::binary);
+    files[two_part].assign(std::istreambuf_iterator<char>(in), {});
+  }
+  EXPECT_EQ(files[0], files[1]);
+  auto scan = ScanSegmentFile(dir + "/seg-000001.log");
+  ASSERT_TRUE(scan.ok());
+  ASSERT_EQ(scan->records.size(), 1u);
+  EXPECT_EQ(scan->records[0].payload, header + body);
+}
+
+TEST(SegmentTest, ScanOfUnreadableFileIsAnIOError) {
+  const std::string dir = FreshDir("seg_unreadable");
+  std::filesystem::create_directories(dir);
+  auto missing = ScanSegmentFile(dir + "/seg-000000.log");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_TRUE(missing.status().IsIOError());
+  auto directory = ScanSegmentFile(dir);
+  ASSERT_FALSE(directory.ok());
+  EXPECT_TRUE(directory.status().IsIOError());
 }
 
 TEST(FsyncPolicyTest, ParseRoundTrip) {
