@@ -32,10 +32,11 @@ void LegacyChainAccumulator::Reset() {
   tree_.Reset();
   std::vector<Tuple>().swap(arena_);
   std::vector<uint32_t>().swap(next_);
+  std::vector<Tuple>().swap(sealed_);
 }
 
 size_t LegacyChainAccumulator::capacity_bytes() const {
-  return arena_.capacity() * sizeof(Tuple) +
+  return (arena_.capacity() + sealed_.capacity()) * sizeof(Tuple) +
          next_.capacity() * sizeof(uint32_t) + table_.capacity_bytes() +
          tree_.capacity_bytes();
 }
@@ -66,7 +67,7 @@ void LegacyChainAccumulator::OnTuple(const Tuple& t) {
 
   const uint32_t tuple_idx = static_cast<uint32_t>(arena_.size());
   arena_.push_back(t);
-  next_.push_back(SortedKeyRun::kNoTuple);
+  next_.push_back(kChainEnd);
 
   bool inserted = false;
   KeyState& ks = table_.GetOrInsert(t.key, &inserted);
@@ -100,12 +101,18 @@ void LegacyChainAccumulator::OnTuple(const Tuple& t) {
   // else: key not yet eligible for an update (line 21).
 }
 
-AccumulatedBatch LegacyChainAccumulator::MakeBatch(
-    std::vector<SortedKeyRun> keys) const {
-  return AccumulatedBatch::FromMerged(num_tuples_, std::move(keys), storage());
+SortedKeyRun LegacyChainAccumulator::AppendRun(KeyId key,
+                                              const KeyState& ks) {
+  const SortedKeyRun run{key, ks.freq_current, sealed_.size()};
+  for (uint32_t i = ks.head; i != kChainEnd; i = next_[i]) {
+    sealed_.push_back(arena_[i]);
+  }
+  return run;
 }
 
 AccumulatedBatch LegacyChainAccumulator::Seal() {
+  sealed_.clear();
+  sealed_.reserve(arena_.size());
   std::vector<SortedKeyRun> keys;
   keys.reserve(tree_.size());
   // Reverse in-order traversal: quasi-sorted, highest tree count first. The
@@ -114,22 +121,28 @@ AccumulatedBatch LegacyChainAccumulator::Seal() {
   tree_.ForEachDescending([this, &keys](KeyId k, uint64_t) {
     const KeyState* ks = table_.Find(k);
     PROMPT_CHECK(ks != nullptr);
-    keys.push_back(SortedKeyRun{k, ks->freq_current, ks->head});
+    keys.push_back(AppendRun(k, *ks));
   });
-  return MakeBatch(std::move(keys));
+  return AccumulatedBatch(sealed_, std::move(keys));
 }
 
 AccumulatedBatch LegacyChainAccumulator::SealWithPostSort() {
-  std::vector<SortedKeyRun> keys;
-  keys.reserve(table_.size());
-  table_.ForEach([&keys](KeyId k, const KeyState& ks) {
-    keys.push_back(SortedKeyRun{k, ks.freq_current, ks.head});
+  std::vector<std::pair<KeyId, const KeyState*>> order;
+  order.reserve(table_.size());
+  table_.ForEach([&order](KeyId k, const KeyState& ks) {
+    order.emplace_back(k, &ks);
   });
-  std::sort(keys.begin(), keys.end(),
-            [](const SortedKeyRun& a, const SortedKeyRun& b) {
-              return a.count != b.count ? a.count > b.count : a.key < b.key;
-            });
-  return MakeBatch(std::move(keys));
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.second->freq_current != b.second->freq_current
+               ? a.second->freq_current > b.second->freq_current
+               : a.first < b.first;
+  });
+  sealed_.clear();
+  sealed_.reserve(arena_.size());
+  std::vector<SortedKeyRun> keys;
+  keys.reserve(order.size());
+  for (const auto& [key, ks] : order) keys.push_back(AppendRun(key, *ks));
+  return AccumulatedBatch(sealed_, std::move(keys));
 }
 
 }  // namespace prompt

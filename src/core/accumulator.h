@@ -22,9 +22,10 @@ namespace prompt {
 /// budget, and the adaptive frequency/time steps. An incoming tuple triggers
 /// a tree reposition when it satisfies its key's f.step or t.step; otherwise
 /// the tuple is only chained. Seal() walks the tree in descending order —
-/// the quasi-sorted partitioner input — with no separate sorting pass.
+/// the quasi-sorted partitioner input — with no separate sorting pass, and
+/// copies each key's chain into the contiguous sealed layout as it goes.
 ///
-/// Kept as the reference for differential testing against the flat columnar
+/// Kept as the reference for differential testing against the flat
 /// implementation; the budget state machine here is the specification the
 /// flat accumulator replicates bit-for-bit.
 class LegacyChainAccumulator final : public Accumulator {
@@ -49,38 +50,40 @@ class LegacyChainAccumulator final : public Accumulator {
 
   size_t capacity_bytes() const override;
 
-  /// Key-proportional state: HTable + CountTree (the arena and chain column
-  /// are O(tuples) and excluded).
+  /// Key-proportional state: HTable + CountTree (the arena, chain column
+  /// and sealed copy are O(tuples) and excluded).
   size_t key_state_bytes() const override {
     return table_.capacity_bytes() + tree_.capacity_bytes();
-  }
-
-  TupleStorageView storage() const override {
-    return TupleStorageView::Rows(arena_.data(), next_.data(), arena_.size());
   }
 
   const AccumulatorOptions& options() const override { return options_; }
   void set_options(const AccumulatorOptions& o) override { options_ = o; }
 
  private:
+  /// Terminates a key's chain in next_.
+  static constexpr uint32_t kChainEnd = 0xffffffffu;
+
   struct KeyState {
     uint64_t freq_current = 0;
     uint64_t freq_updated = 0;
     uint32_t budget_left = 0;
     uint64_t f_step = 1;
     TimeMicros t_next = 0;
-    uint32_t head = SortedKeyRun::kNoTuple;
-    uint32_t tail = SortedKeyRun::kNoTuple;
+    uint32_t head = kChainEnd;
+    uint32_t tail = kChainEnd;
   };
 
   void TreeUpdate(KeyId key, KeyState& ks, TimeMicros now);
-  AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys) const;
+  /// Copies the key's chain to the end of sealed_ and returns its run.
+  SortedKeyRun AppendRun(KeyId key, const KeyState& ks);
 
   AccumulatorOptions options_;
   FlatMap<KeyState> table_;
   CountTree tree_;
   std::vector<Tuple> arena_;
   std::vector<uint32_t> next_;
+  /// Seal() output: each key's chain copied out as one contiguous run.
+  std::vector<Tuple> sealed_;
   TimeMicros batch_start_ = 0;
   TimeMicros batch_end_ = 0;
   uint64_t num_tuples_ = 0;

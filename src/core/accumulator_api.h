@@ -4,9 +4,11 @@
 // ingest pipeline, and the partitioners all program against this interface.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -23,7 +25,7 @@ struct SketchSettings {
   /// exact tracking, so head state is O(capacity) by construction.
   uint32_t capacity = 4096;
   /// Hash buckets the untracked tail flows through (no per-key state; each
-  /// bucket is one tuple chain). Must be >= 1.
+  /// bucket is one contiguous range of the sealed batch). Must be >= 1.
   uint32_t tail_buckets = 64;
   /// Estimated count at which a sketch-tracked key is promoted to exact
   /// accounting. 0 = auto: max(8, 4 * estimated_tuples / avg_keys).
@@ -56,12 +58,12 @@ enum class AccumulatorKind {
   /// FlatMap chains + AVL CountTree: the original literal transcription of
   /// Alg. 1. Kept as the differential-testing reference.
   kLegacyChain,
-  /// Robin-hood open addressing over columnar (SoA) tuple storage with a
+  /// Robin-hood open addressing over an append-only tuple log with a
   /// radix-partitioned seal. Bit-identical output, no per-update tree
   /// rebalancing — the default.
   kFlat,
   /// Heavy-hitter mode (DESIGN.md §17): a Space-Saving sketch decides which
-  /// keys earn exact counters and chains; everything else flows through
+  /// keys earn exact counters and runs; everything else flows through
   /// hash-partitioned tail buckets with no per-key state. Key-proportional
   /// memory is O(sketch capacity), not O(distinct keys).
   kSketch,
@@ -75,93 +77,46 @@ const char* AccumulatorKindName(AccumulatorKind kind);
 bool ParseAccumulatorKind(std::string_view name, AccumulatorKind* out);
 
 /// \brief One entry of the sealed quasi-sorted key list:
-/// `⟨key, count, tupleList⟩` with the tuple list referenced as a chain head
-/// into the accumulator's tuple storage.
+/// `⟨key, count, tupleList⟩`, the tuple list being the `count` tuples from
+/// `offset` in the batch's tuple array, in arrival order.
 struct SortedKeyRun {
   KeyId key = 0;
   uint64_t count = 0;
-  uint32_t head = kNoTuple;
-
-  static constexpr uint32_t kNoTuple = 0xffffffffu;
+  uint64_t offset = 0;
 };
 
-/// \brief Non-owning view over sealed tuple storage in either layout:
-/// row-major (the legacy chain arena, an array of Tuple) or columnar (the
-/// flat accumulator's SoA key/ts/value arrays). Both expose the same chain
-/// contract: At(i) materializes tuple i, Next(i) follows its key chain.
-///
-/// This replaces the raw `const std::vector<Tuple>*` that AccumulatedBatch
-/// used to carry: a view is built from explicit spans at one call site, so
-/// handing it a soon-to-move buffer is visible in the caller's code instead
-/// of dangling silently when the vector reallocates or is destroyed. The
-/// referenced storage must still outlive the view (it lives until the owning
-/// accumulator's next Begin(), or until the pipeline's merge buffers are
-/// rewritten).
-class TupleStorageView {
- public:
-  TupleStorageView() = default;
-
-  /// Row-major storage: `rows[i]` is tuple i, `next[i]` its chain link.
-  static TupleStorageView Rows(const Tuple* rows, const uint32_t* next,
-                               size_t size) {
-    TupleStorageView v;
-    v.rows_ = rows;
-    v.next_ = next;
-    v.size_ = size;
-    return v;
-  }
-
-  /// Columnar storage: parallel key/ts/value arrays plus the chain column.
-  static TupleStorageView Columns(const KeyId* keys, const TimeMicros* ts,
-                                  const double* values, const uint32_t* next,
-                                  size_t size) {
-    TupleStorageView v;
-    v.keys_ = keys;
-    v.ts_ = ts;
-    v.values_ = values;
-    v.next_ = next;
-    v.size_ = size;
-    return v;
-  }
-
-  size_t size() const { return size_; }
-  bool columnar() const { return rows_ == nullptr; }
-
-  /// Materializes tuple i (cheap: 24 bytes either way).
-  Tuple At(uint32_t i) const {
-    if (rows_ != nullptr) return rows_[i];
-    return Tuple{ts_[i], keys_[i], values_[i]};
-  }
-
-  /// Chain successor of tuple i (SortedKeyRun::kNoTuple terminates).
-  uint32_t Next(uint32_t i) const { return next_[i]; }
-
- private:
-  const Tuple* rows_ = nullptr;
-  const KeyId* keys_ = nullptr;
-  const TimeMicros* ts_ = nullptr;
-  const double* values_ = nullptr;
-  const uint32_t* next_ = nullptr;
-  size_t size_ = 0;
-};
-
-/// \brief One hash bucket of the sketch accumulator's tail: a chain of
-/// tuples whose keys never earned exact state. All tuples of a given tail
-/// key land in exactly one bucket (bucket = hash(key) % bucket count), so a
-/// bucket can be placed on one block without splitting any tail key.
+/// \brief One hash bucket of the sketch accumulator's tail: the `tuples`
+/// tuples from `offset` whose keys never earned exact state. All tuples of a
+/// given tail key land in exactly one bucket (bucket = hash(key) % bucket
+/// count), so a bucket can be placed on one block without splitting any tail
+/// key.
 struct TailBucket {
-  uint32_t head = SortedKeyRun::kNoTuple;
-  uint32_t tail = SortedKeyRun::kNoTuple;
+  uint64_t offset = 0;
   uint64_t tuples = 0;
 };
 
 /// \brief View over a sealed batch: quasi-sorted keys (descending frequency)
-/// plus access to each key's buffered tuples. Valid until the owning
-/// accumulator's next Begin() (or, for merged batches, until the merge
-/// buffers are rewritten).
+/// over one array of tuples in which each key's tuples are contiguous.
+///
+/// Layout: the key runs tile the front of tuples() and the tail buckets
+/// (sketch mode) tile the rest, in bucket order. Every producer — the
+/// accumulators and the sharded pipeline's merge — writes that layout, and
+/// only they decide where a run sits. The array is not owned: it lives until
+/// the owning accumulator's next Begin(), or for a merged batch until the
+/// pipeline's next SealBatch().
 class AccumulatedBatch {
  public:
-  uint64_t num_tuples() const { return num_tuples_; }
+  AccumulatedBatch() = default;
+  AccumulatedBatch(std::span<const Tuple> tuples,
+                   std::vector<SortedKeyRun> keys,
+                   std::vector<TailBucket> tail = {},
+                   SketchBatchStats stats = {})
+      : tuples_(tuples),
+        keys_(std::move(keys)),
+        tail_(std::move(tail)),
+        stats_(stats) {}
+
+  uint64_t num_tuples() const { return tuples_.size(); }
   uint64_t num_keys() const { return keys_.size(); }
 
   /// Keys in (quasi-)descending frequency order; `count` is the *exact*
@@ -169,77 +124,56 @@ class AccumulatedBatch {
   /// ordering is approximate, coming from the budget-limited ranking).
   const std::vector<SortedKeyRun>& keys() const { return keys_; }
 
-  /// The tuple storage the key runs chain into.
-  const TupleStorageView& storage() const { return storage_; }
-
   /// Tail buckets (empty for exact accumulators). Tail tuples are NOT
-  /// reachable through keys(); downstream consumers that iterate runs must
-  /// also drain these chains.
+  /// covered by keys(); consumers that iterate runs must also read these.
   const std::vector<TailBucket>& tail() const { return tail_; }
 
   /// Sketch-mode telemetry (`stats().sketch_mode` gates interpretation).
   const SketchBatchStats& stats() const { return stats_; }
 
-  /// Assembles a batch view over externally owned storage — an accumulator's
-  /// sealed buffers, or the sharded pipeline's merged arena (per-shard chains
-  /// rebased, per-shard run lists interleaved).
-  static AccumulatedBatch FromMerged(uint64_t num_tuples,
-                                     std::vector<SortedKeyRun> keys,
-                                     TupleStorageView storage) {
-    AccumulatedBatch batch;
-    batch.num_tuples_ = num_tuples;
-    batch.keys_ = std::move(keys);
-    batch.storage_ = storage;
-    return batch;
+  /// Every tuple of the batch, runs first, then tail buckets.
+  std::span<const Tuple> tuples() const { return tuples_; }
+  std::span<const Tuple> tuples(const SortedKeyRun& run) const {
+    return tuples_.subspan(run.offset, run.count);
+  }
+  std::span<const Tuple> tuples(const TailBucket& bucket) const {
+    return tuples_.subspan(bucket.offset, bucket.tuples);
   }
 
-  /// Sketch-mode variant: also carries the tail chains and batch telemetry.
-  static AccumulatedBatch FromMergedSketch(uint64_t num_tuples,
-                                           std::vector<SortedKeyRun> keys,
-                                           TupleStorageView storage,
-                                           std::vector<TailBucket> tail,
-                                           SketchBatchStats stats) {
-    AccumulatedBatch batch = FromMerged(num_tuples, std::move(keys), storage);
-    batch.tail_ = std::move(tail);
-    batch.stats_ = stats;
-    return batch;
-  }
-
-  /// Applies f(const Tuple&) to up to `limit` tuples of the run, starting
-  /// after skipping `skip` tuples of its chain. Fragmented keys consume their
-  /// chain in segments: fragment i passes skip = sum of earlier fragment
-  /// sizes.
+  /// Applies f(const Tuple&) to up to `limit` tuples of the run after the
+  /// first `skip`. Fragmented keys consume their run in segments: fragment i
+  /// passes skip = sum of earlier fragment sizes.
   template <typename F>
   void ForEachTuple(const SortedKeyRun& run, uint64_t skip, uint64_t limit,
                     F&& f) const {
-    uint32_t idx = run.head;
-    while (skip > 0 && idx != SortedKeyRun::kNoTuple) {
-      idx = storage_.Next(idx);
-      --skip;
-    }
-    while (limit > 0 && idx != SortedKeyRun::kNoTuple) {
-      const Tuple t = storage_.At(idx);
+    const std::span<const Tuple> all = tuples(run);
+    const uint64_t from = std::min<uint64_t>(skip, all.size());
+    for (const Tuple& t :
+         all.subspan(from, std::min<uint64_t>(limit, all.size() - from))) {
       f(t);
-      idx = storage_.Next(idx);
-      --limit;
     }
   }
 
-  /// Applies f(const Tuple&) to every tuple chained in a tail bucket.
-  template <typename F>
-  void ForEachTailTuple(const TailBucket& bucket, F&& f) const {
-    uint32_t idx = bucket.head;
-    while (idx != SortedKeyRun::kNoTuple) {
-      const Tuple t = storage_.At(idx);
-      f(t);
-      idx = storage_.Next(idx);
+  /// Applies f(const Tuple&) to every tuple whose key passes `keep`: the key
+  /// runs in run order, then the tail buckets in bucket order. This is how a
+  /// partitioner without a quasi-sorted fast path consumes the batch; the
+  /// tail is part of the replay, or never-promoted keys would vanish.
+  template <typename Keep, typename F>
+  void Replay(Keep&& keep, F&& f) const {
+    for (const SortedKeyRun& run : keys_) {
+      if (!keep(run.key)) continue;
+      for (const Tuple& t : tuples(run)) f(t);
+    }
+    for (const TailBucket& bucket : tail_) {
+      for (const Tuple& t : tuples(bucket)) {
+        if (keep(t.key)) f(t);
+      }
     }
   }
 
  private:
-  uint64_t num_tuples_ = 0;
+  std::span<const Tuple> tuples_;
   std::vector<SortedKeyRun> keys_;
-  TupleStorageView storage_;
   std::vector<TailBucket> tail_;
   SketchBatchStats stats_;
 };
@@ -298,11 +232,6 @@ class Accumulator {
   /// exists to bound: O(distinct keys) for the exact accumulators,
   /// O(sketch capacity) for kSketch.
   virtual size_t key_state_bytes() const = 0;
-
-  /// View over the current batch's buffered tuples; the sharded pipeline
-  /// reads this after Seal() to copy/rebase shard chains into the merged
-  /// arena. Valid until the next Begin().
-  virtual TupleStorageView storage() const = 0;
 
   virtual const AccumulatorOptions& options() const = 0;
   virtual void set_options(const AccumulatorOptions& o) = 0;

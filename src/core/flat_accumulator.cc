@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/scatter.h"
+
 namespace prompt {
 
 const char* FlatAccumulator::name() const {
@@ -17,10 +19,8 @@ void FlatAccumulator::Begin(TimeMicros start, TimeMicros end) {
   ordering_updates_ = 0;
   table_.Clear();
   states_.clear();
-  key_col_.clear();
-  ts_col_.clear();
-  value_col_.clear();
-  next_.clear();
+  log_.clear();
+  log_slot_.clear();
   // Identical step seeding to the legacy path: f <- N_est / (K_avg * budget).
   const uint64_t denom =
       std::max<uint64_t>(1, options_.avg_keys * options_.budget);
@@ -32,24 +32,16 @@ void FlatAccumulator::Reset() {
   ordering_updates_ = 0;
   table_ = RobinHoodMap<uint32_t>(1024);
   std::vector<KeyState>().swap(states_);
-  std::vector<KeyId>().swap(key_col_);
-  std::vector<TimeMicros>().swap(ts_col_);
-  std::vector<double>().swap(value_col_);
-  std::vector<uint32_t>().swap(next_);
+  std::vector<Tuple>().swap(log_);
+  std::vector<uint32_t>().swap(log_slot_);
+  std::vector<Tuple>().swap(sealed_);
   for (auto& bucket : radix_buckets_) std::vector<SealEntry>().swap(bucket);
 }
 
 size_t FlatAccumulator::capacity_bytes() const {
-  size_t bytes = table_.capacity_bytes() +
-                 states_.capacity() * sizeof(KeyState) +
-                 key_col_.capacity() * sizeof(KeyId) +
-                 ts_col_.capacity() * sizeof(TimeMicros) +
-                 value_col_.capacity() * sizeof(double) +
-                 next_.capacity() * sizeof(uint32_t);
-  for (const auto& bucket : radix_buckets_) {
-    bytes += bucket.capacity() * sizeof(SealEntry);
-  }
-  return bytes;
+  return key_state_bytes() +
+         (log_.capacity() + sealed_.capacity()) * sizeof(Tuple) +
+         log_slot_.capacity() * sizeof(uint32_t);
 }
 
 void FlatAccumulator::RankUpdate(KeyState& ks, TimeMicros now) {
@@ -73,16 +65,12 @@ void FlatAccumulator::OnTuple(const Tuple& t) {
   const TimeMicros now = t.ts;
   ++num_tuples_;
 
-  const uint32_t tuple_idx = static_cast<uint32_t>(key_col_.size());
-  key_col_.push_back(t.key);
-  ts_col_.push_back(t.ts);
-  value_col_.push_back(t.value);
-  next_.push_back(SortedKeyRun::kNoTuple);
-
   bool inserted = false;
   uint32_t& state_idx = table_.GetOrInsert(t.key, &inserted);
+  if (inserted) state_idx = static_cast<uint32_t>(states_.size());
+  log_.push_back(t);
+  log_slot_.push_back(state_idx);
   if (inserted) {
-    state_idx = static_cast<uint32_t>(states_.size());
     KeyState ks;
     ks.key = t.key;
     ks.freq_current = 1;
@@ -91,14 +79,11 @@ void FlatAccumulator::OnTuple(const Tuple& t) {
     ks.f_step = initial_f_step_;
     const TimeMicros remaining = std::max<TimeMicros>(0, batch_end_ - now);
     ks.t_next = now + remaining / std::max<uint32_t>(1, options_.budget);
-    ks.head = ks.tail = tuple_idx;
     states_.push_back(ks);
     return;
   }
 
   KeyState& ks = states_[state_idx];
-  next_[ks.tail] = tuple_idx;
-  ks.tail = tuple_idx;
   ++ks.freq_current;
 
   if (ks.budget_left == 0) return;  // budget exhausted: rank stays stale
@@ -106,9 +91,19 @@ void FlatAccumulator::OnTuple(const Tuple& t) {
   if (delta_freq >= ks.f_step || now >= ks.t_next) RankUpdate(ks, now);
 }
 
-AccumulatedBatch FlatAccumulator::MakeBatch(
-    std::vector<SortedKeyRun> keys) const {
-  return AccumulatedBatch::FromMerged(num_tuples_, std::move(keys), storage());
+SortedKeyRun FlatAccumulator::PlaceRun(KeyState& ks, uint64_t* offset) {
+  ks.cursor = *offset;
+  *offset += ks.freq_current;
+  return SortedKeyRun{ks.key, ks.freq_current, ks.cursor};
+}
+
+AccumulatedBatch FlatAccumulator::MakeBatch(std::vector<SortedKeyRun> keys) {
+  sealed_.resize(log_.size());
+  ScatterBySlot(
+      log_, log_slot_,
+      [this](uint32_t slot) -> uint64_t& { return states_[slot].cursor; },
+      sealed_.data());
+  return AccumulatedBatch(sealed_, std::move(keys));
 }
 
 AccumulatedBatch FlatAccumulator::Seal() {
@@ -121,11 +116,11 @@ AccumulatedBatch FlatAccumulator::Seal() {
   // each other — every key in a higher bucket outranks every key in a lower
   // one — so phase 2 only sorts within buckets, each a small fraction of K.
   for (auto& bucket : radix_buckets_) bucket.clear();
-  for (const KeyState& ks : states_) {
+  uint64_t offset = 0;
+  for (KeyState& ks : states_) {
     const int bw = std::bit_width(ks.freq_updated);
     radix_buckets_[bw - 1].push_back(
-        SealEntry{ks.freq_updated, SortedKeyRun{ks.key, ks.freq_current,
-                                                ks.head}});
+        SealEntry{ks.freq_updated, PlaceRun(ks, &offset)});
   }
 
   // Phase 2: exact-sort each bucket, concatenate high-to-low.
@@ -148,9 +143,8 @@ AccumulatedBatch FlatAccumulator::Seal() {
 AccumulatedBatch FlatAccumulator::SealWithPostSort() {
   std::vector<SortedKeyRun> keys;
   keys.reserve(states_.size());
-  for (const KeyState& ks : states_) {
-    keys.push_back(SortedKeyRun{ks.key, ks.freq_current, ks.head});
-  }
+  uint64_t offset = 0;
+  for (KeyState& ks : states_) keys.push_back(PlaceRun(ks, &offset));
   std::sort(keys.begin(), keys.end(),
             [](const SortedKeyRun& a, const SortedKeyRun& b) {
               return a.count != b.count ? a.count > b.count : a.key < b.key;

@@ -1,5 +1,5 @@
-// Flat columnar implementation of Alg. 1 (paper §4.1): robin-hood hashing
-// over SoA tuple storage, with the CountTree replaced by a radix-partitioned
+// Flat implementation of Alg. 1 (paper §4.1): robin-hood hashing over an
+// append-only tuple log, with the CountTree replaced by a radix-partitioned
 // seal. Callers should obtain it via MakeAccumulator() (accumulator_api.h)
 // rather than naming this class.
 #pragma once
@@ -15,8 +15,8 @@
 namespace prompt {
 
 /// \brief The fast-path accumulator. Produces output bit-identical to
-/// LegacyChainAccumulator — same key order, counts, and chains — without
-/// maintaining an ordering structure per tuple.
+/// LegacyChainAccumulator — same key order, counts, and per-key tuple
+/// sequences — without maintaining an ordering structure per tuple.
 ///
 /// Key insight: the legacy CountTree orders keys ascending by
 /// (count, key), and its reverse in-order seal therefore emits descending
@@ -32,9 +32,10 @@ namespace prompt {
 ///   (a power-of-two frequency histogram, coarsest-to-finest);
 ///   phase 2 exact-sorts each small bucket by (freq_updated desc, key desc)
 ///   and concatenates buckets high-to-low.
-/// Tuple storage is columnar (key/ts/value/next arrays) rather than an
-/// array-of-Tuple arena, which is what TupleStorageView's columnar flavor
-/// exposes downstream.
+/// OnTuple appends each tuple and its key's slot to two logs. Seal() lays the
+/// runs out in first-arrival order of their keys, in the same pass as phase
+/// 1, and scatters the log into them (ScatterBySlot), so each key's tuples
+/// are contiguous and in arrival order.
 class FlatAccumulator final : public Accumulator {
  public:
   explicit FlatAccumulator(AccumulatorOptions options = {})
@@ -54,7 +55,7 @@ class FlatAccumulator final : public Accumulator {
   size_t capacity_bytes() const override;
 
   /// Key-proportional state: hash table + per-key records + seal buckets
-  /// (tuple columns are O(tuples) and excluded).
+  /// (the tuple arrays are O(tuples) and excluded).
   size_t key_state_bytes() const override {
     size_t bytes =
         table_.capacity_bytes() + states_.capacity() * sizeof(KeyState);
@@ -62,12 +63,6 @@ class FlatAccumulator final : public Accumulator {
       bytes += bucket.capacity() * sizeof(SealEntry);
     }
     return bytes;
-  }
-
-  TupleStorageView storage() const override {
-    return TupleStorageView::Columns(key_col_.data(), ts_col_.data(),
-                                     value_col_.data(), next_.data(),
-                                     key_col_.size());
   }
 
   const AccumulatorOptions& options() const override { return options_; }
@@ -84,8 +79,8 @@ class FlatAccumulator final : public Accumulator {
     TimeMicros t_next = 0;
     KeyId key = 0;
     uint32_t budget_left = 0;
-    uint32_t head = SortedKeyRun::kNoTuple;
-    uint32_t tail = SortedKeyRun::kNoTuple;
+    /// Seal(): where the key's next tuple goes in sealed_.
+    uint64_t cursor = 0;
   };
 
   /// A key queued for phase-2 sorting: rank fields + run payload.
@@ -95,17 +90,20 @@ class FlatAccumulator final : public Accumulator {
   };
 
   void RankUpdate(KeyState& ks, TimeMicros now);
-  AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys) const;
+  /// Places the key's run at *offset, points its scatter cursor there and
+  /// advances *offset past it.
+  static SortedKeyRun PlaceRun(KeyState& ks, uint64_t* offset);
+  /// Scatters the tuple log into the placed runs.
+  AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys);
 
   AccumulatorOptions options_;
   RobinHoodMap<uint32_t> table_;  ///< key -> index into states_
   std::vector<KeyState> states_;
-  // Columnar tuple storage (SoA): tuple i is (ts_col_[i], key_col_[i],
-  // value_col_[i]) with chain link next_[i].
-  std::vector<KeyId> key_col_;
-  std::vector<TimeMicros> ts_col_;
-  std::vector<double> value_col_;
-  std::vector<uint32_t> next_;
+  /// Arrival-order tuple log and, per tuple, its key's index in states_.
+  std::vector<Tuple> log_;
+  std::vector<uint32_t> log_slot_;
+  /// Seal() output: the log regrouped into contiguous key runs.
+  std::vector<Tuple> sealed_;
   /// Phase-1 radix buckets, indexed by bit_width(freq_updated) - 1; member
   /// so their capacity survives across batches.
   std::array<std::vector<SealEntry>, 64> radix_buckets_;

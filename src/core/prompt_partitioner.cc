@@ -1,6 +1,7 @@
 #include "core/prompt_partitioner.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/flat_map.h"
 
@@ -230,50 +231,83 @@ PartitionedBatch MaterializePlan(const AccumulatedBatch& batch,
     out.num_keys = std::max(out.num_keys, out.sketch.distinct_estimate);
   }
 
-  // Head keys, for attributing tail-resident tuples of promoted keys: those
-  // keys span a tail block and head block(s), so they MUST surface in the
-  // tail block's fragment table or the reduce stage would route the same key
-  // from two blocks as if it were whole (duplicate output keys). Tail-only
-  // keys appear in exactly one block and legitimately stay summary-free.
-  FlatMap<char> head_keys(batch.keys().size() + 8);
+  // Head keys by key index, for attributing tail-resident tuples of promoted
+  // keys: those keys span a tail block and head block(s), so they MUST
+  // surface in the tail block's fragment table or the reduce stage would
+  // route the same key from two blocks as if it were whole (duplicate output
+  // keys). Tail-only keys appear in exactly one block and legitimately stay
+  // summary-free.
+  const std::vector<SortedKeyRun>& keys = batch.keys();
+  FlatMap<uint32_t> head_index(batch.tail().empty() ? 0 : keys.size() + 8);
   if (!batch.tail().empty()) {
-    for (const SortedKeyRun& run : batch.keys()) {
-      head_keys.GetOrInsert(run.key) = 1;
+    for (uint32_t i = 0; i < keys.size(); ++i) {
+      head_index.GetOrInsert(keys[i].key) = i;
     }
   }
+
+  // A fragment row under construction, and per key index the number of
+  // blocks holding a row for it: two or more make the key split.
+  struct Fragment {
+    uint64_t count = 0;
+    uint32_t key_index = 0;
+  };
+  std::vector<uint32_t> blocks_of_key(keys.size(), 0);
+  std::vector<uint32_t> fragment_keys;  // key index of every row, block order
+  auto add = [&blocks_of_key](FlatMap<Fragment>& per_key, KeyId key,
+                              uint32_t key_index, uint64_t count) {
+    bool inserted = false;
+    Fragment& f = per_key.GetOrInsert(key, &inserted);
+    if (inserted) {
+      f.key_index = key_index;
+      ++blocks_of_key[key_index];
+    }
+    f.count += count;
+  };
 
   out.blocks.reserve(num_blocks);
   for (uint32_t b = 0; b < num_blocks; ++b) {
     DataBlock block(b);
+    std::vector<Tuple>& tuples = block.mutable_tuples();
     uint64_t expected = 0;
     for (const PlanPlacement& pl : plan.blocks[b]) expected += pl.take;
-    block.mutable_tuples().reserve(expected);
+    for (uint32_t t = 0; t < plan.tail_bucket_block.size(); ++t) {
+      if (plan.tail_bucket_block[t] == b) expected += batch.tail()[t].tuples;
+    }
+    tuples.reserve(expected);
 
-    FlatMap<uint64_t> per_key(plan.blocks[b].size() + 8);
+    // Each placement is one contiguous slice of its key's run.
+    FlatMap<Fragment> per_key(plan.blocks[b].size() + 8);
     for (const PlanPlacement& pl : plan.blocks[b]) {
-      const SortedKeyRun& run = batch.keys()[pl.key_index];
-      batch.ForEachTuple(run, pl.skip, pl.take, [&block](const Tuple& t) {
-        block.Append(t);
-      });
-      per_key.GetOrInsert(run.key) += pl.take;
+      const SortedKeyRun& run = keys[pl.key_index];
+      const std::span<const Tuple> slice =
+          batch.tuples(run).subspan(pl.skip, pl.take);
+      tuples.insert(tuples.end(), slice.begin(), slice.end());
+      add(per_key, run.key, pl.key_index, pl.take);
     }
     for (uint32_t t = 0; t < plan.tail_bucket_block.size(); ++t) {
       if (plan.tail_bucket_block[t] != b) continue;
-      batch.ForEachTailTuple(batch.tail()[t], [&](const Tuple& tup) {
-        block.Append(tup);
-        if (head_keys.Find(tup.key) != nullptr) {
-          ++per_key.GetOrInsert(tup.key);
+      const std::span<const Tuple> bucket = batch.tuples(batch.tail()[t]);
+      tuples.insert(tuples.end(), bucket.begin(), bucket.end());
+      for (const Tuple& tup : bucket) {
+        if (const uint32_t* i = head_index.Find(tup.key)) {
+          add(per_key, tup.key, *i, 1);
         }
-      });
+      }
     }
     auto& frags = block.mutable_fragments();
     frags.reserve(per_key.size());
-    per_key.ForEach([&frags](KeyId key, uint64_t count) {
-      frags.push_back(KeyFragment{key, count, false});
+    per_key.ForEach([&](KeyId key, const Fragment& f) {
+      frags.push_back(KeyFragment{key, f.count, false});
+      fragment_keys.push_back(f.key_index);
     });
     out.blocks.push_back(std::move(block));
   }
-  out.ComputeSplitFlags();
+  size_t row = 0;
+  for (DataBlock& block : out.blocks) {
+    for (KeyFragment& f : block.mutable_fragments()) {
+      f.split = blocks_of_key[fragment_keys[row++]] > 1;
+    }
+  }
   return out;
 }
 

@@ -12,8 +12,8 @@
 namespace prompt {
 
 /// \brief One key-to-block placement of a partition plan. `skip`/`take`
-/// select a segment of the key's buffered tuple chain, so a fragmented key
-/// consumes its chain in disjoint segments across blocks.
+/// select a slice of the key's run of buffered tuples, so a fragmented key
+/// consumes its run in disjoint slices across blocks.
 struct PlanPlacement {
   uint32_t key_index = 0;  ///< index into AccumulatedBatch::keys()
   uint64_t skip = 0;
@@ -35,7 +35,7 @@ struct PartitionPlan {
 /// \brief Options of the Prompt batching-phase partitioner.
 struct PromptPartitionerOptions {
   AccumulatorOptions accumulator;
-  /// Which Alg. 1 implementation buffers the batch (flat columnar by
+  /// Which Alg. 1 implementation buffers the batch (flat by
   /// default; both produce bit-identical sealed output).
   AccumulatorKind accumulator_kind = AccumulatorKind::kFlat;
   /// Use the exact post-sort at seal instead of the maintained quasi-sorted
@@ -53,9 +53,10 @@ struct PromptPartitionerOptions {
 PartitionPlan BuildPromptPlan(const AccumulatedBatch& batch,
                               uint32_t num_blocks);
 
-/// \brief Copies tuples into DataBlocks per the plan and computes each
-/// block's fragment summary (same-key placements within a block merge into
-/// one fragment).
+/// \brief Copies each placement's slice of its key's run (and each tail
+/// bucket) into DataBlocks per the plan, and computes each block's fragment
+/// summary (same-key placements within a block merge into one fragment)
+/// with its split flags.
 PartitionedBatch MaterializePlan(const AccumulatedBatch& batch,
                                  const PartitionPlan& plan,
                                  uint32_t num_blocks);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/hash.h"
+#include "core/scatter.h"
 
 namespace prompt {
 
@@ -34,10 +35,8 @@ void SketchAccumulator::Begin(TimeMicros start, TimeMicros end) {
   ordering_updates_ = 0;
   table_.Clear();
   states_.clear();
-  key_col_.clear();
-  ts_col_.clear();
-  value_col_.clear();
-  next_.clear();
+  log_.clear();
+  log_slot_.clear();
   hll_.Clear();
 
   const uint32_t want_capacity = std::max<uint32_t>(1, options_.sketch.capacity);
@@ -85,10 +84,9 @@ void SketchAccumulator::Reset() {
   table_ = RobinHoodMap<uint32_t>(1024);
   std::vector<KeyState>().swap(states_);
   std::vector<TailBucket>().swap(tail_buckets_);
-  std::vector<KeyId>().swap(key_col_);
-  std::vector<TimeMicros>().swap(ts_col_);
-  std::vector<double>().swap(value_col_);
-  std::vector<uint32_t>().swap(next_);
+  std::vector<Tuple>().swap(log_);
+  std::vector<uint32_t>().swap(log_slot_);
+  std::vector<Tuple>().swap(sealed_);
   sketch_ = std::make_unique<SpaceSaving>(
       std::max<uint32_t>(1, options_.sketch.capacity));
   cms_.reset();
@@ -103,10 +101,9 @@ size_t SketchAccumulator::key_state_bytes() const {
 }
 
 size_t SketchAccumulator::capacity_bytes() const {
-  return key_state_bytes() + key_col_.capacity() * sizeof(KeyId) +
-         ts_col_.capacity() * sizeof(TimeMicros) +
-         value_col_.capacity() * sizeof(double) +
-         next_.capacity() * sizeof(uint32_t);
+  return key_state_bytes() +
+         (log_.capacity() + sealed_.capacity()) * sizeof(Tuple) +
+         log_slot_.capacity() * sizeof(uint32_t);
 }
 
 void SketchAccumulator::RankUpdate(KeyState& ks, TimeMicros now) {
@@ -126,15 +123,15 @@ void SketchAccumulator::RankUpdate(KeyState& ks, TimeMicros now) {
       now + remaining / std::max<uint32_t>(1, ks.budget_left ? ks.budget_left : 1);
 }
 
-void SketchAccumulator::Promote(KeyId key, uint64_t estimate,
-                                uint32_t tuple_idx, TimeMicros now) {
+uint32_t SketchAccumulator::Promote(KeyId key, uint64_t estimate,
+                                    TimeMicros now) {
   // The key leaves the sketch — its counter slot goes back to tracking tail
-  // candidates — and starts an exact chain with the current tuple. Earlier
+  // candidates — and starts an exact run with the current tuple. Earlier
   // occurrences stay in its tail bucket; rank_base preserves them in the
   // seal ordering.
   sketch_->Remove(key);
-  uint32_t& state_idx = table_.GetOrInsert(key);
-  state_idx = static_cast<uint32_t>(states_.size());
+  const uint32_t state_idx = static_cast<uint32_t>(states_.size());
+  table_.GetOrInsert(key) = state_idx;
   KeyState ks;
   ks.key = key;
   ks.freq_current = 1;
@@ -144,25 +141,20 @@ void SketchAccumulator::Promote(KeyId key, uint64_t estimate,
   ks.f_step = initial_f_step_;
   const TimeMicros remaining = std::max<TimeMicros>(0, batch_end_ - now);
   ks.t_next = now + remaining / std::max<uint32_t>(1, options_.budget);
-  ks.head = ks.tail = tuple_idx;
   states_.push_back(ks);
+  return static_cast<uint32_t>(tail_buckets_.size()) + state_idx;
 }
 
 void SketchAccumulator::OnTuple(const Tuple& t) {
   const TimeMicros now = t.ts;
   ++num_tuples_;
-
-  const uint32_t tuple_idx = static_cast<uint32_t>(key_col_.size());
-  key_col_.push_back(t.key);
-  ts_col_.push_back(t.ts);
-  value_col_.push_back(t.value);
-  next_.push_back(SortedKeyRun::kNoTuple);
+  log_.push_back(t);
 
   // Head path: the key already has exact state.
   if (uint32_t* state_idx = table_.Find(t.key)) {
+    log_slot_.push_back(static_cast<uint32_t>(tail_buckets_.size()) +
+                        *state_idx);
     KeyState& ks = states_[*state_idx];
-    next_[ks.tail] = tuple_idx;
-    ks.tail = tuple_idx;
     ++ks.freq_current;
     ++head_tuples_;
     if (ks.budget_left == 0) return;
@@ -183,20 +175,15 @@ void SketchAccumulator::OnTuple(const Tuple& t) {
   }
   if (estimate >= promote_threshold_ &&
       states_.size() < options_.sketch.capacity) {
-    Promote(t.key, estimate, tuple_idx, now);
+    log_slot_.push_back(Promote(t.key, estimate, now));
     ++head_tuples_;
     return;
   }
 
-  TailBucket& bucket =
-      tail_buckets_[HashKey(t.key, kTailBucketSeed) % tail_buckets_.size()];
-  if (bucket.tail == SortedKeyRun::kNoTuple) {
-    bucket.head = tuple_idx;
-  } else {
-    next_[bucket.tail] = tuple_idx;
-  }
-  bucket.tail = tuple_idx;
-  ++bucket.tuples;
+  const uint32_t bucket = static_cast<uint32_t>(
+      HashKey(t.key, kTailBucketSeed) % tail_buckets_.size());
+  log_slot_.push_back(bucket);
+  ++tail_buckets_[bucket].tuples;
   ++tail_tuples_;
 }
 
@@ -222,52 +209,70 @@ SketchBatchStats SketchAccumulator::ComputeStats() const {
   return stats;
 }
 
+std::vector<SketchAccumulator::SealEntry> SketchAccumulator::PlaceRuns() {
+  std::vector<SealEntry> entries;
+  entries.reserve(states_.size());
+  uint64_t offset = 0;
+  for (KeyState& ks : states_) {
+    ks.cursor = offset;
+    entries.push_back(SealEntry{ks.rank_base + ks.freq_updated,
+                                SortedKeyRun{ks.key, ks.freq_current, offset}});
+    offset += ks.freq_current;
+  }
+  for (TailBucket& bucket : tail_buckets_) {
+    bucket.offset = offset;
+    offset += bucket.tuples;
+  }
+  return entries;
+}
+
 AccumulatedBatch SketchAccumulator::MakeBatch(
-    std::vector<SortedKeyRun> keys) const {
-  return AccumulatedBatch::FromMergedSketch(num_tuples_, std::move(keys),
-                                            storage(), tail_buckets_,
-                                            ComputeStats());
+    const std::vector<SealEntry>& ordered) {
+  const size_t num_buckets = tail_buckets_.size();
+  std::vector<uint64_t> bucket_cursor(num_buckets);
+  for (size_t b = 0; b < num_buckets; ++b) {
+    bucket_cursor[b] = tail_buckets_[b].offset;
+  }
+  sealed_.resize(log_.size());
+  ScatterBySlot(
+      log_, log_slot_,
+      [this, &bucket_cursor, num_buckets](uint32_t slot) -> uint64_t& {
+        return slot < num_buckets ? bucket_cursor[slot]
+                                  : states_[slot - num_buckets].cursor;
+      },
+      sealed_.data());
+  std::vector<SortedKeyRun> keys;
+  keys.reserve(ordered.size());
+  for (const SealEntry& e : ordered) keys.push_back(e.run);
+  return AccumulatedBatch(sealed_, std::move(keys), tail_buckets_,
+                          ComputeStats());
 }
 
 AccumulatedBatch SketchAccumulator::Seal() {
   // Rank promoted keys by their best full-batch frequency estimate
-  // (rank_base folds in pre-promotion occurrences) while counts stay
-  // chain-exact. Deterministic: (rank desc, key desc) total order.
-  struct SealEntry {
-    uint64_t rank = 0;
-    SortedKeyRun run;
-  };
-  std::vector<SealEntry> entries;
-  entries.reserve(states_.size());
-  for (const KeyState& ks : states_) {
-    entries.push_back(SealEntry{ks.rank_base + ks.freq_updated,
-                                SortedKeyRun{ks.key, ks.freq_current,
-                                             ks.head}});
-  }
+  // (rank_base folds in pre-promotion occurrences) while counts stay exact.
+  // Deterministic: (rank desc, key desc) total order.
+  std::vector<SealEntry> entries = PlaceRuns();
   std::sort(entries.begin(), entries.end(),
             [](const SealEntry& a, const SealEntry& b) {
               return a.rank != b.rank ? a.rank > b.rank
                                       : a.run.key > b.run.key;
             });
-  std::vector<SortedKeyRun> keys;
-  keys.reserve(entries.size());
-  for (const SealEntry& e : entries) keys.push_back(e.run);
-  return MakeBatch(std::move(keys));
+  return MakeBatch(entries);
 }
 
 AccumulatedBatch SketchAccumulator::SealWithPostSort() {
-  std::vector<SortedKeyRun> keys;
-  keys.reserve(states_.size());
-  for (const KeyState& ks : states_) {
-    keys.push_back(SortedKeyRun{ks.key, ks.freq_current, ks.head});
+  // Exact sort by rank_base + the final count, smaller key first on ties.
+  std::vector<SealEntry> entries = PlaceRuns();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    entries[i].rank = states_[i].rank_base + states_[i].freq_current;
   }
-  std::sort(keys.begin(), keys.end(),
-            [this](const SortedKeyRun& a, const SortedKeyRun& b) {
-              const uint64_t ra = states_[*table_.Find(a.key)].rank_base + a.count;
-              const uint64_t rb = states_[*table_.Find(b.key)].rank_base + b.count;
-              return ra != rb ? ra > rb : a.key < b.key;
+  std::sort(entries.begin(), entries.end(),
+            [](const SealEntry& a, const SealEntry& b) {
+              return a.rank != b.rank ? a.rank > b.rank
+                                      : a.run.key < b.run.key;
             });
-  return MakeBatch(std::move(keys));
+  return MakeBatch(entries);
 }
 
 }  // namespace prompt

@@ -3,8 +3,8 @@
 // (~8M distinct keys): the HTable, per-key records, and ordering structures
 // all grow O(K). This accumulator keeps that state only for the keys that
 // matter to Alg. 2 — the head a Space-Saving sketch confirms as heavy — and
-// lets the tail flow through hash-partitioned bucket chains with no per-key
-// state at all, so key-proportional memory is O(sketch capacity).
+// lets the tail flow through hash-partitioned buckets with no per-key state
+// at all, so key-proportional memory is O(sketch capacity).
 // Callers should obtain it via MakeAccumulator() (accumulator_api.h).
 #pragma once
 
@@ -24,15 +24,17 @@ namespace prompt {
 /// \brief The bounded-memory accumulator behind `key_mode = sketch`.
 ///
 /// Per tuple, exactly one of two paths runs:
-///   head — the key already holds exact state (it was promoted): chain the
+///   head — the key already holds exact state (it was promoted): log the
 ///   tuple, bump the exact count, run the same budget-limited rank state
 ///   machine as the flat accumulator;
 ///   tail — feed the Space-Saving sketch (plus the optional Count-Min
 ///   cross-check) and, if the key's estimate now clears the promotion
 ///   threshold and a counter slot is free, promote it: it leaves the sketch
 ///   and gets an exact record seeded with the sketch estimate as its rank
-///   base. Otherwise the tuple is appended to tail bucket
-///   hash(key) % tail_buckets — a bare chain, no per-key bookkeeping.
+///   base. Otherwise the tuple goes to tail bucket hash(key) % tail_buckets
+///   — a bare tuple count, no per-key bookkeeping.
+/// Seal() lays out the promoted keys' runs, then the buckets in bucket
+/// order, and scatters the tuple log into them (ScatterBySlot).
 ///
 /// Consequences downstream documents must honor:
 ///   - A promoted key's run count covers only its post-promotion tuples; the
@@ -43,8 +45,8 @@ namespace prompt {
 ///     every shard), so placing a bucket on one block splits no tail key.
 ///   - Seal ordering ranks promoted keys by rank_base + freq_updated (the
 ///     sketch's estimate of the full-batch frequency), while run counts stay
-///     chain-exact — Alg. 2 consumes counts as take-amounts, so they must
-///     match the chains tuple-for-tuple.
+///     exact — Alg. 2 consumes counts as take-amounts, so they must match
+///     the runs tuple-for-tuple.
 class SketchAccumulator final : public Accumulator {
  public:
   explicit SketchAccumulator(AccumulatorOptions options = {});
@@ -64,12 +66,6 @@ class SketchAccumulator final : public Accumulator {
   uint64_t ordering_updates() const override { return ordering_updates_; }
   size_t capacity_bytes() const override;
   size_t key_state_bytes() const override;
-
-  TupleStorageView storage() const override {
-    return TupleStorageView::Columns(key_col_.data(), ts_col_.data(),
-                                     value_col_.data(), next_.data(),
-                                     key_col_.size());
-  }
 
   const AccumulatorOptions& options() const override { return options_; }
   void set_options(const AccumulatorOptions& o) override { options_ = o; }
@@ -93,7 +89,7 @@ class SketchAccumulator final : public Accumulator {
  private:
   /// Exact state for a promoted key. Budget fields mirror FlatAccumulator's
   /// KeyState; rank_base carries the sketch estimate at promotion so seal
-  /// ordering reflects full-batch frequency while counts stay chain-exact.
+  /// ordering reflects full-batch frequency while counts stay exact.
   struct KeyState {
     uint64_t freq_current = 0;
     uint64_t freq_updated = 0;
@@ -102,14 +98,25 @@ class SketchAccumulator final : public Accumulator {
     TimeMicros t_next = 0;
     KeyId key = 0;
     uint32_t budget_left = 0;
-    uint32_t head = SortedKeyRun::kNoTuple;
-    uint32_t tail = SortedKeyRun::kNoTuple;
+    /// Seal(): where the key's next tuple goes in sealed_.
+    uint64_t cursor = 0;
+  };
+
+  /// A promoted key queued for seal ordering: rank + run payload.
+  struct SealEntry {
+    uint64_t rank = 0;
+    SortedKeyRun run;
   };
 
   void RankUpdate(KeyState& ks, TimeMicros now);
-  void Promote(KeyId key, uint64_t estimate, uint32_t tuple_idx,
-               TimeMicros now);
-  AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys) const;
+  /// Gives `key` exact state; returns its tuple slot.
+  uint32_t Promote(KeyId key, uint64_t estimate, TimeMicros now);
+  /// Lays out the promoted keys' runs in promotion order, then the tail
+  /// buckets; returns one entry per promoted key, in states_ order, ranked
+  /// by rank_base + freq_updated.
+  std::vector<SealEntry> PlaceRuns();
+  /// Scatters the tuple log into the placed ranges and orders the runs.
+  AccumulatedBatch MakeBatch(const std::vector<SealEntry>& ordered);
 
   AccumulatorOptions options_;
   std::unique_ptr<SpaceSaving> sketch_;
@@ -118,11 +125,12 @@ class SketchAccumulator final : public Accumulator {
   RobinHoodMap<uint32_t> table_;  ///< promoted key -> index into states_
   std::vector<KeyState> states_;
   std::vector<TailBucket> tail_buckets_;
-  // Columnar tuple storage shared by head chains and tail buckets.
-  std::vector<KeyId> key_col_;
-  std::vector<TimeMicros> ts_col_;
-  std::vector<double> value_col_;
-  std::vector<uint32_t> next_;
+  /// Arrival-order tuple log and, per tuple, its slot: tail bucket b is slot
+  /// b, promoted key i (states_[i]) is slot tail_buckets_.size() + i.
+  std::vector<Tuple> log_;
+  std::vector<uint32_t> log_slot_;
+  /// Seal() output: runs, then tail buckets, each contiguous.
+  std::vector<Tuple> sealed_;
   TimeMicros batch_start_ = 0;
   TimeMicros batch_end_ = 0;
   uint64_t num_tuples_ = 0;

@@ -174,22 +174,6 @@ static QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
   return qc;
 }
 
-void MergeDeprecatedIngestAliases(EngineOptions* opts) {
-  const EngineOptions defaults;
-  if (opts->ingest_shards != defaults.ingest_shards &&
-      opts->ingest.shards == defaults.ingest.shards) {
-    PROMPT_LOG(kWarn) << "EngineOptions::ingest_shards is deprecated; set "
-                         "ingest.shards instead";
-    opts->ingest.shards = opts->ingest_shards;
-  }
-  if (opts->ingest_ring_capacity != defaults.ingest_ring_capacity &&
-      opts->ingest.ring_capacity == defaults.ingest.ring_capacity) {
-    PROMPT_LOG(kWarn) << "EngineOptions::ingest_ring_capacity is deprecated; "
-                         "set ingest.ring_capacity instead";
-    opts->ingest.ring_capacity = opts->ingest_ring_capacity;
-  }
-}
-
 MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
                                    std::unique_ptr<BatchPartitioner> partitioner,
                                    TupleSource* source)
@@ -197,7 +181,6 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
   PROMPT_CHECK(partitioner != nullptr);
   PROMPT_CHECK(source_ != nullptr);
   PROMPT_CHECK(options_.batch_interval > 0);
-  MergeDeprecatedIngestAliases(&options_);
   if (options_.adapt.enabled) {
     // The controller's calm test reads block-load and split-key signals, so
     // the partition-metrics pass must run regardless of what the caller set.
@@ -834,17 +817,8 @@ RunSummary MicroBatchEngine::Run(uint32_t num_batches) {
       if (!query_->partitioner->SealAccumulated(merged, query_->next_batch_id, &batch)) {
         // No quasi-sorted fast path: replay the merged batch through the
         // per-tuple interface in quasi-sorted order.
-        for (const SortedKeyRun& run : merged.keys()) {
-          merged.ForEachTuple(run, 0, run.count,
-                              [&](const Tuple& t) { query_->partitioner->OnTuple(t); });
-        }
-        // Sketch mode keeps tail tuples outside the run list — replay them
-        // too, or never-promoted keys silently vanish from the batch.
-        for (const TailBucket& bucket : merged.tail()) {
-          merged.ForEachTailTuple(bucket, [&](const Tuple& t) {
-            query_->partitioner->OnTuple(t);
-          });
-        }
+        merged.Replay([](KeyId) { return true; },
+                      [&](const Tuple& t) { query_->partitioner->OnTuple(t); });
         batch = query_->partitioner->Seal(query_->next_batch_id);
       }
       ++query_->next_batch_id;

@@ -101,20 +101,7 @@ struct EngineOptions {
   /// by hash(key) % shards to that many accumulator workers and k-way
   /// merges at the cut-off.
   IngestOptions ingest;
-  /// DEPRECATED — pre-grouping aliases of ingest.shards and
-  /// ingest.ring_capacity, honored (with a warning) for one release: a flat
-  /// field moved off its default wins over an untouched grouped field. See
-  /// MergeDeprecatedIngestAliases().
-  uint32_t ingest_shards = 1;
-  size_t ingest_ring_capacity = 16 * 1024;
 };
-
-/// Folds the deprecated flat ingest fields of EngineOptions into
-/// opts->ingest, logging a deprecation warning for each one that diverges
-/// from its default while the grouped field was left untouched (grouped
-/// settings always win otherwise). The engine constructor applies this to
-/// its options copy; exposed for the alias-merge tests.
-void MergeDeprecatedIngestAliases(EngineOptions* opts);
 
 // BatchReport — the per-batch observability record — lives in
 // obs/batch_report.h so report writers and sinks don't depend on the engine.
@@ -320,7 +307,7 @@ class MicroBatchEngine {
   std::unique_ptr<SimulatedCluster> cluster_;
   std::unique_ptr<BatchStore> store_;
   std::unique_ptr<DurableBlockStore> durable_;
-  std::unique_ptr<ParallelIngestPipeline> ingest_;  // ingest_shards > 1
+  std::unique_ptr<ParallelIngestPipeline> ingest_;  // ingest.shards > 1
   std::unique_ptr<Observability> obs_;
 
   // Extra queries sharing the batching phase (AddQuery).

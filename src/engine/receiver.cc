@@ -152,15 +152,8 @@ Result<ReceivedBatch> StreamReceiver::NextBatchSharded(uint32_t num_blocks,
     // quasi-sorted order through the regular per-tuple interface. Online
     // techniques are order-insensitive apart from tie-breaking, so this
     // preserves their semantics.
-    for (const SortedKeyRun& run : merged.keys()) {
-      merged.ForEachTuple(run, 0, run.count,
-                          [&](const Tuple& t) { partitioner_->OnTuple(t); });
-    }
-    // Sketch mode keeps tail tuples outside the run list — replay them too.
-    for (const TailBucket& bucket : merged.tail()) {
-      merged.ForEachTailTuple(
-          bucket, [&](const Tuple& t) { partitioner_->OnTuple(t); });
-    }
+    merged.Replay([](KeyId) { return true; },
+                  [&](const Tuple& t) { partitioner_->OnTuple(t); });
     out.batch = partitioner_->Seal(next_batch_id_);
   }
   ++next_batch_id_;

@@ -7,7 +7,7 @@ namespace {
 // Sentinel run ranking below every real run, so exhausted inputs always lose
 // their matches. count = 0 with the maximal key loses against any real run
 // under RunBefore (real counts are >= 1).
-constexpr SortedKeyRun kExhausted{~KeyId{0}, 0, SortedKeyRun::kNoTuple};
+constexpr SortedKeyRun kExhausted{~KeyId{0}, 0};
 
 }  // namespace
 

@@ -22,6 +22,13 @@ AccumulatorOptions ScaleForShard(AccumulatorOptions base, uint32_t shards) {
   return base;
 }
 
+// Tuples in a sealed batch's key runs, which tile the front of its tuple
+// array (the tail buckets tile the rest).
+uint64_t RunTuples(const AccumulatedBatch& batch) {
+  return batch.tail().empty() ? batch.num_tuples()
+                              : batch.tail().front().offset;
+}
+
 }  // namespace
 
 const char* KeyModeName(KeyMode mode) {
@@ -169,19 +176,30 @@ const AccumulatedBatch& ParallelIngestPipeline::SealBatch() {
   }
   metrics_.seal_barrier_latency = barrier_watch.ElapsedMicros();
 
-  // Phase 2: rebase + merge. Shard chains are index-based, so concatenating
-  // the arenas with per-shard offsets preserves every chain; workers copy
-  // their own segments while this thread merges the run lists.
+  // Phase 2: copy + merge. The merged array holds every shard's runs, in
+  // shard order, then global tail bucket 0 (shard 0's bucket 0, shard 1's,
+  // ...), bucket 1, and so on. Workers copy their own slices while this
+  // thread merges the run lists.
   Stopwatch merge_watch;
   uint64_t total = 0;
+  size_t num_buckets = 0;
   for (auto& shard : shards_) {
-    shard->arena_offset = total;
-    total += shard->stats.tuples;
+    shard->run_offset = total;
+    total += RunTuples(shard->sealed);
+    shard->tail_offsets.resize(shard->sealed.tail().size());
+    num_buckets = std::max(num_buckets, shard->sealed.tail().size());
   }
-  PROMPT_CHECK_MSG(total < SortedKeyRun::kNoTuple,
-                   "merged batch exceeds 32-bit arena addressing");
-  merged_arena_.resize(total);
-  merged_next_.resize(total);
+  std::vector<TailBucket> merged_tail(num_buckets);
+  for (size_t b = 0; b < num_buckets; ++b) {
+    merged_tail[b].offset = total;
+    for (auto& shard : shards_) {
+      if (b >= shard->tail_offsets.size()) continue;
+      shard->tail_offsets[b] = total;
+      total += shard->sealed.tail()[b].tuples;
+    }
+    merged_tail[b].tuples = total - merged_tail[b].offset;
+  }
+  merged_tuples_.resize(total);
   {
     std::lock_guard<std::mutex> lock(mu_);
     copy_epoch_ = batch_epoch_;
@@ -199,9 +217,7 @@ const AccumulatedBatch& ParallelIngestPipeline::SealBatch() {
   SortedKeyRun run;
   uint32_t source = 0;
   while (tree.Next(&run, &source)) {
-    if (run.head != SortedKeyRun::kNoTuple) {
-      run.head += static_cast<uint32_t>(shards_[source]->arena_offset);
-    }
+    run.offset += shards_[source]->run_offset;
     runs.push_back(run);
   }
 
@@ -211,37 +227,10 @@ const AccumulatedBatch& ParallelIngestPipeline::SealBatch() {
   }
   metrics_.merge_latency = merge_watch.ElapsedMicros();
 
-  const TupleStorageView merged_view = TupleStorageView::Rows(
-      merged_arena_.data(), merged_next_.data(), merged_arena_.size());
+  SketchBatchStats stats;
   if (options_.key_mode == KeyMode::kSketch) {
-    // Stitch per-shard tail buckets: the tail hash is identical on every
-    // shard, so global bucket i is the concatenation of each shard's bucket
-    // i. Workers already rebased their chain links into the merged arena;
-    // the router only rewrites each shard-chain terminator to point at the
-    // next shard's bucket head. Runs after the copy barrier — the
-    // terminators being patched were written by the workers.
-    size_t num_buckets = 0;
-    for (const auto& shard : shards_) {
-      num_buckets = std::max(num_buckets, shard->sealed.tail().size());
-    }
-    std::vector<TailBucket> merged_tail(num_buckets);
-    SketchBatchStats stats;
     stats.sketch_mode = true;
     for (const auto& shard : shards_) {
-      const uint32_t off = static_cast<uint32_t>(shard->arena_offset);
-      const auto& shard_tail = shard->sealed.tail();
-      for (size_t b = 0; b < shard_tail.size(); ++b) {
-        if (shard_tail[b].head == SortedKeyRun::kNoTuple) continue;
-        const uint32_t head = shard_tail[b].head + off;
-        const uint32_t tail = shard_tail[b].tail + off;
-        if (merged_tail[b].head == SortedKeyRun::kNoTuple) {
-          merged_tail[b].head = head;
-        } else {
-          merged_next_[merged_tail[b].tail] = head;
-        }
-        merged_tail[b].tail = tail;
-        merged_tail[b].tuples += shard_tail[b].tuples;
-      }
       // Shards see disjoint key sets, so additive fields sum exactly; the
       // untracked-frequency ceiling is the worst shard's floor.
       const SketchBatchStats& s = shard->sealed.stats();
@@ -257,12 +246,9 @@ const AccumulatedBatch& ParallelIngestPipeline::SealBatch() {
     stats.error_frac = total == 0
                            ? 0.0
                            : stats.error_frac / static_cast<double>(total);
-    merged_batch_ = AccumulatedBatch::FromMergedSketch(
-        total, std::move(runs), merged_view, std::move(merged_tail), stats);
-  } else {
-    merged_batch_ = AccumulatedBatch::FromMerged(total, std::move(runs),
-                                                 merged_view);
   }
+  merged_batch_ = AccumulatedBatch(merged_tuples_, std::move(runs),
+                                   std::move(merged_tail), stats);
   metrics_.shards.clear();
   metrics_.shards.reserve(shards_.size());
   for (const auto& shard : shards_) metrics_.shards.push_back(shard->stats);
@@ -316,19 +302,15 @@ void ParallelIngestPipeline::WorkerLoop(uint32_t index) {
           if (stopped_) return;
         }
         Stopwatch copy_watch;
-        const uint32_t off = static_cast<uint32_t>(shard.arena_offset);
-        // The merged arena is row-major regardless of the shard accumulator's
-        // layout: Alg. 2's MaterializePlan walks chains with random access,
-        // which favors whole-tuple rows, and the view keeps the copy generic
-        // across kinds.
-        const TupleStorageView view = shard.accumulator->storage();
-        const size_t n = view.size();
-        for (size_t i = 0; i < n; ++i) {
-          const uint32_t idx = static_cast<uint32_t>(i);
-          merged_arena_[off + i] = view.At(idx);
-          const uint32_t nx = view.Next(idx);
-          merged_next_[off + i] =
-              nx == SortedKeyRun::kNoTuple ? SortedKeyRun::kNoTuple : nx + off;
+        const AccumulatedBatch& sealed = shard.sealed;
+        const std::span<const Tuple> runs =
+            sealed.tuples().first(RunTuples(sealed));
+        std::copy(runs.begin(), runs.end(),
+                  merged_tuples_.begin() + shard.run_offset);
+        for (size_t b = 0; b < sealed.tail().size(); ++b) {
+          const std::span<const Tuple> bucket = sealed.tuples(sealed.tail()[b]);
+          std::copy(bucket.begin(), bucket.end(),
+                    merged_tuples_.begin() + shard.tail_offsets[b]);
         }
         shard.stats.copy_latency = copy_watch.ElapsedMicros();
         {

@@ -14,9 +14,9 @@
 // Thread roles:
 //   router (caller of Ingest)  --SPSC ring-->  shard worker 0..S-1
 // Each ring is strictly single-producer/single-consumer. Batch control
-// (Begin/Seal/Stop) travels in-band through the rings, so a worker has
-// consumed every tuple of a batch before it sees the batch's seal message —
-// no separate flush protocol.
+// (Begin/Seal) travels in-band through the rings, so a worker has consumed
+// every tuple of a batch before it sees the batch's seal message — no
+// separate flush protocol.
 #pragma once
 
 #include <atomic>
@@ -66,14 +66,14 @@ struct IngestOptions {
   /// Per-shard SPSC ring capacity (rounded up to a power of two). A full
   /// ring blocks the router — back-pressure toward the source.
   size_t ring_capacity = 16 * 1024;
-  /// Which Alg. 1 implementation every shard runs (flat columnar by
+  /// Which Alg. 1 implementation every shard runs (flat by
   /// default; the exact kinds produce bit-identical sealed output).
   /// Ignored when key_mode == kSketch, which forces the sketch accumulator.
   AccumulatorKind accumulator = AccumulatorKind::kFlat;
   /// Exact vs heavy-hitter ingest. kSketch overrides `accumulator` with
   /// AccumulatorKind::kSketch on every shard; the per-shard sketches are
-  /// folded into global batch telemetry at the seal barrier and the
-  /// per-shard tail buckets are stitched bucket-by-bucket (same tail hash on
+  /// folded into global batch telemetry at the seal barrier and global tail
+  /// bucket i is every shard's bucket i, in shard order (same tail hash on
   /// every shard, so bucket i holds the same key slice everywhere).
   KeyMode key_mode = KeyMode::kExact;
   /// Base (whole-batch) Alg. 1 options — the budget / N_est / K_avg
@@ -83,9 +83,6 @@ struct IngestOptions {
   AccumulatorOptions accumulator_options;
 };
 
-/// Historical name of the pipeline's config, now the engine-wide grouping.
-using ParallelIngestOptions = IngestOptions;
-
 /// \brief S shard workers, each owning a private Accumulator (created via
 /// MakeAccumulator), fed over lock-free SPSC rings; sealed per-shard runs
 /// are k-way merged at the heartbeat into one AccumulatedBatch with exact
@@ -93,8 +90,7 @@ using ParallelIngestOptions = IngestOptions;
 ///
 /// Lifecycle per batch interval, driven by one router thread:
 ///   BeginBatch(start, end) -> Ingest(t)* -> SealBatch()
-/// The view returned by SealBatch stays valid until the next BeginBatch,
-/// mirroring an accumulator's storage lifetime contract.
+/// The view returned by SealBatch stays valid until the next SealBatch.
 class ParallelIngestPipeline {
  public:
   explicit ParallelIngestPipeline(IngestOptions options);
@@ -116,10 +112,10 @@ class ParallelIngestPipeline {
   /// when the shard's ring is full.
   void Ingest(const Tuple& t);
 
-  /// Seal barrier + merge: stops every shard, waits for their seals,
-  /// rebases the per-shard tuple chains into one merged arena (workers copy
-  /// their segments in parallel) while the router loser-tree-merges the
-  /// quasi-sorted run lists, and returns the combined batch view.
+  /// Seal barrier + merge: stops every shard, waits for their seals, has
+  /// the workers copy their sealed tuples into one merged array at offsets
+  /// the router computes while the router loser-tree-merges the quasi-sorted
+  /// run lists, and returns the combined batch view.
   const AccumulatedBatch& SealBatch();
 
   /// Ingest observability for the batch most recently sealed.
@@ -133,7 +129,7 @@ class ParallelIngestPipeline {
 
  private:
   struct IngestMsg {
-    enum Kind : uint32_t { kTuple = 0, kBegin = 1, kSeal = 2, kStop = 3 };
+    enum Kind : uint32_t { kTuple = 0, kBegin = 1, kSeal = 2 };
     Tuple tuple{};
     uint32_t kind = kTuple;
   };
@@ -149,7 +145,10 @@ class ParallelIngestPipeline {
     // Seal handshake (written by the worker, read by the router after the
     // barrier; the pipeline mutex orders the non-atomic fields).
     AccumulatedBatch sealed;
-    uint64_t arena_offset = 0;  // set by router between barrier phases
+    // Where the worker copies its runs and each of its tail buckets in the
+    // merged array; set by the router between barrier phases.
+    uint64_t run_offset = 0;
+    std::vector<uint64_t> tail_offsets;
     ShardIngestStats stats;
     uint64_t routed_this_batch = 0;  // router-side counter
     uint32_t ring_occupancy_probe = 0;
@@ -177,9 +176,8 @@ class ParallelIngestPipeline {
   uint64_t copy_epoch_ = 0;   // workers copy when this reaches their epoch
   uint64_t batch_epoch_ = 0;  // per-worker progress tracking
 
-  // Merged storage backing the returned AccumulatedBatch view.
-  std::vector<Tuple> merged_arena_;
-  std::vector<uint32_t> merged_next_;
+  // Merged tuples backing the returned AccumulatedBatch view.
+  std::vector<Tuple> merged_tuples_;
   AccumulatedBatch merged_batch_;
 
   IngestMetrics metrics_;

@@ -38,7 +38,12 @@ struct PartitionedBatch {
   /// Marks keys appearing in more than one block as split, completing each
   /// block's reference table. Returns the number of split keys.
   uint64_t ComputeSplitFlags() {
-    FlatMap<uint32_t> appearances(num_keys + 8);
+    // Sized by the fragments the table will hold: in sketch mode num_keys
+    // is the HLL estimate of every distinct key, most of which have no
+    // fragment row.
+    uint64_t fragments = 0;
+    for (const DataBlock& b : blocks) fragments += b.fragments().size();
+    FlatMap<uint32_t> appearances(fragments + 8);
     for (const DataBlock& b : blocks) {
       for (const KeyFragment& f : b.fragments()) ++appearances.GetOrInsert(f.key);
     }

@@ -11,7 +11,7 @@ namespace prompt {
 /// (and the rest zero) when the batch came from an exact accumulator.
 struct SketchBatchStats {
   bool sketch_mode = false;
-  uint64_t head_tuples = 0;        ///< tuples chained under exact key runs
+  uint64_t head_tuples = 0;        ///< tuples in exact key runs
   uint64_t tail_tuples = 0;        ///< tuples flowing through tail buckets
   uint64_t tracked_keys = 0;       ///< live Space-Saving counters at seal
   uint64_t promoted_keys = 0;      ///< keys holding exact state

@@ -86,7 +86,7 @@ struct BatchReport {
 
   /// Per-shard ingest observability of this batch's batching phase.
   /// Populated (has_ingest = true) when the engine runs the sharded ingest
-  /// pipeline (EngineOptions::ingest_shards > 1); default otherwise.
+  /// pipeline (EngineOptions::ingest.shards > 1); default otherwise.
   IngestMetrics ingest;
   bool has_ingest = false;
 

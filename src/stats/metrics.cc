@@ -15,10 +15,12 @@ PartitionMetrics ComputeBlockMetrics(const PartitionedBatch& batch,
 
   uint64_t total_size = 0;
   uint64_t total_cardinality = 0;
-  FlatMap<uint32_t> key_blocks(batch.num_keys + 8);
+  // Sized by fragment rows, not num_keys, which in sketch mode is the HLL
+  // estimate of every distinct key (DESIGN.md §17).
+  for (const DataBlock& b : batch.blocks) total_cardinality += b.cardinality();
+  FlatMap<uint32_t> key_blocks(total_cardinality + 8);
   for (const DataBlock& b : batch.blocks) {
     total_size += b.size();
-    total_cardinality += b.cardinality();
     m.max_block_size = std::max(m.max_block_size, b.size());
     m.max_block_cardinality = std::max(m.max_block_cardinality, b.cardinality());
     for (const KeyFragment& f : b.fragments()) {

@@ -56,7 +56,7 @@ struct ShardIngestStats {
   uint64_t ring_high_water = 0;  ///< max observed ring occupancy (sampled)
   uint64_t ring_capacity = 0;
   TimeMicros seal_latency = 0;   ///< worker-side accumulator Seal() time
-  TimeMicros copy_latency = 0;   ///< worker-side arena publish time
+  TimeMicros copy_latency = 0;   ///< worker-side copy into the merged batch
 };
 
 /// \brief One batch interval's ingest-side observability: per-shard loads,
@@ -69,7 +69,8 @@ struct IngestMetrics {
   TimeMicros ingest_wall = 0;
   /// Seal request -> every shard sealed (the barrier of the cut-off).
   TimeMicros seal_barrier_latency = 0;
-  /// Loser-tree merge + arena publication after the barrier.
+  /// Loser-tree merge + the workers' copies into the merged batch, after
+  /// the barrier.
   TimeMicros merge_latency = 0;
 
   /// Router-observed ingest rate over the batch (0 when unmeasurable).

@@ -407,25 +407,11 @@ MultiTenantRunSummary MultiTenantEngine::Run(uint32_t num_batches) {
             tenant.spec.filter.kind == KeyFilter::Kind::kAll;
         if (!(takes_all && ctx.partitioner->SealAccumulated(
                                *merged, ctx.next_batch_id, &batch))) {
-          // Replay this tenant's slice of the merged quasi-sorted runs
-          // through the per-tuple interface (filters select whole runs:
-          // the predicate is on the key).
-          for (const SortedKeyRun& key_run : merged->keys()) {
-            if (!tenant.spec.filter.Matches(key_run.key)) continue;
-            merged->ForEachTuple(key_run, 0, key_run.count,
-                                 [&](const Tuple& t) {
-                                   ctx.partitioner->OnTuple(t);
-                                 });
-          }
-          // Sketch-mode tail buckets mix keys, so the filter applies per
-          // tuple rather than per run.
-          for (const TailBucket& bucket : merged->tail()) {
-            merged->ForEachTailTuple(bucket, [&](const Tuple& t) {
-              if (tenant.spec.filter.Matches(t.key)) {
-                ctx.partitioner->OnTuple(t);
-              }
-            });
-          }
+          // Replay this tenant's slice of the merged batch through the
+          // per-tuple interface.
+          merged->Replay(
+              [&](KeyId key) { return tenant.spec.filter.Matches(key); },
+              [&](const Tuple& t) { ctx.partitioner->OnTuple(t); });
           batch = ctx.partitioner->Seal(ctx.next_batch_id);
         }
         ++ctx.next_batch_id;

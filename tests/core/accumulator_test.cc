@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "testing/test_helpers.h"
 
@@ -18,7 +21,7 @@ constexpr TimeMicros kStart = 0;
 constexpr TimeMicros kEnd = Seconds(1);
 
 // Every behavioural test runs against both implementations of the
-// Accumulator interface: the legacy CountTree chain and the flat columnar
+// Accumulator interface: the legacy CountTree chain and the flat
 // rewrite. The two must be observationally identical (see
 // accumulator_differential_test.cc for the bit-identity fuzz).
 class AccumulatorTest : public ::testing::TestWithParam<AccumulatorKind> {
@@ -278,25 +281,51 @@ TEST(AccumulatorFactoryTest, FactoryReportsKindName) {
                "legacy");
 }
 
-TEST(TupleStorageViewTest, RowsAndColumnsMaterializeIdentically) {
-  const Tuple rows[3] = {{10, 1, 0.5}, {20, 2, 1.5}, {30, 1, 2.5}};
-  const uint32_t next[3] = {2, SortedKeyRun::kNoTuple, SortedKeyRun::kNoTuple};
-  const KeyId keys[3] = {1, 2, 1};
-  const TimeMicros ts[3] = {10, 20, 30};
-  const double values[3] = {0.5, 1.5, 2.5};
+// The sealed layout every producer writes and the ingest merge relies on:
+// key runs tile the front of tuples() with no gap or overlap, tail buckets
+// tile the rest in bucket order, and each run holds exactly its key's
+// tuples in arrival order.
+TEST(SealedLayoutTest, RunsThenTailBucketsTileTheTuples) {
+  AccumulatorOptions opts;
+  opts.sketch.capacity = 16;
+  opts.sketch.tail_buckets = 8;
+  const auto tuples = ZipfTuples(8000, 500, 1.1, kStart, kEnd);
+  for (const AccumulatorKind kind :
+       {AccumulatorKind::kLegacyChain, AccumulatorKind::kFlat,
+        AccumulatorKind::kSketch}) {
+    auto acc = MakeAccumulator(kind, opts);
+    for (const bool post_sort : {false, true}) {
+      acc->Begin(kStart, kEnd);
+      for (const Tuple& t : tuples) acc->OnTuple(t);
+      const AccumulatedBatch batch =
+          post_sort ? acc->SealWithPostSort() : acc->Seal();
+      const std::string ctx = std::string(acc->name()) +
+                              (post_sort ? " post_sort" : " seal");
+      ASSERT_EQ(batch.tuples().size(), tuples.size()) << ctx;
 
-  const auto row_view = TupleStorageView::Rows(rows, next, 3);
-  const auto col_view = TupleStorageView::Columns(keys, ts, values, next, 3);
-  EXPECT_FALSE(row_view.columnar());
-  EXPECT_TRUE(col_view.columnar());
-  ASSERT_EQ(row_view.size(), col_view.size());
-  for (uint32_t i = 0; i < 3; ++i) {
-    const Tuple a = row_view.At(i);
-    const Tuple b = col_view.At(i);
-    EXPECT_EQ(a.ts, b.ts);
-    EXPECT_EQ(a.key, b.key);
-    EXPECT_DOUBLE_EQ(a.value, b.value);
-    EXPECT_EQ(row_view.Next(i), col_view.Next(i));
+      std::vector<SortedKeyRun> runs = batch.keys();
+      std::sort(runs.begin(), runs.end(),
+                [](const SortedKeyRun& a, const SortedKeyRun& b) {
+                  return a.offset < b.offset;
+                });
+      uint64_t next = 0;
+      for (const SortedKeyRun& run : runs) {
+        EXPECT_EQ(run.offset, next) << ctx << " key " << run.key;
+        next = run.offset + run.count;
+        TimeMicros last_ts = kStart;
+        for (const Tuple& t : batch.tuples(run)) {
+          EXPECT_EQ(t.key, run.key) << ctx;
+          EXPECT_GE(t.ts, last_ts) << ctx << " key " << run.key;
+          last_ts = t.ts;
+        }
+      }
+      for (const TailBucket& bucket : batch.tail()) {
+        EXPECT_EQ(bucket.offset, next) << ctx;
+        next = bucket.offset + bucket.tuples;
+      }
+      EXPECT_EQ(next, tuples.size()) << ctx;
+      EXPECT_EQ(batch.tail().empty(), kind != AccumulatorKind::kSketch) << ctx;
+    }
   }
 }
 

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/accumulator_api.h"
@@ -48,31 +52,37 @@ TEST(SketchAccumulatorTest, FactoryAndParse) {
 
 TEST(SketchAccumulatorTest, EveryTupleReachableExactlyOnce) {
   SketchAccumulator acc(SketchOpts(64, 20000, 500));
-  FeedZipf(acc, 42, 20000, 2000, 1.1);
+  const auto truth = FeedZipf(acc, 42, 20000, 2000, 1.1);
   AccumulatedBatch batch = acc.Seal();
   EXPECT_EQ(batch.num_tuples(), 20000u);
 
-  uint64_t seen = 0;
-  for (const SortedKeyRun& run : batch.keys()) {
-    uint64_t chain_len = 0;
-    batch.ForEachTuple(run, 0, run.count + 10, [&](const Tuple& t) {
+  // Runs, then buckets, tile the sealed tuples; together they hold every
+  // tuple of the batch exactly once.
+  std::vector<SortedKeyRun> runs = batch.keys();
+  std::sort(runs.begin(), runs.end(),
+            [](const SortedKeyRun& a, const SortedKeyRun& b) {
+              return a.offset < b.offset;
+            });
+  std::map<KeyId, uint64_t> seen;
+  uint64_t next = 0;
+  for (const SortedKeyRun& run : runs) {
+    EXPECT_EQ(run.offset, next) << "key " << run.key;
+    for (const Tuple& t : batch.tuples(run)) {
       EXPECT_EQ(t.key, run.key);
-      ++chain_len;
-    });
-    // run.count must be chain-exact: Alg. 2 uses counts as take-amounts.
-    EXPECT_EQ(chain_len, run.count) << "key " << run.key;
-    seen += chain_len;
+      ++seen[t.key];
+    }
+    next += run.count;
   }
   const SketchBatchStats& stats = batch.stats();
   EXPECT_TRUE(stats.sketch_mode);
-  EXPECT_EQ(seen, stats.head_tuples);
+  EXPECT_EQ(next, stats.head_tuples);
   for (const TailBucket& bucket : batch.tail()) {
-    uint64_t chain_len = 0;
-    batch.ForEachTailTuple(bucket, [&](const Tuple&) { ++chain_len; });
-    EXPECT_EQ(chain_len, bucket.tuples);
-    seen += chain_len;
+    EXPECT_EQ(bucket.offset, next);
+    for (const Tuple& t : batch.tuples(bucket)) ++seen[t.key];
+    next += bucket.tuples;
   }
-  EXPECT_EQ(seen, 20000u);
+  EXPECT_EQ(next, 20000u);
+  EXPECT_EQ(seen, truth);
   EXPECT_EQ(stats.head_tuples + stats.tail_tuples, 20000u);
 }
 
@@ -105,10 +115,10 @@ TEST(SketchAccumulatorTest, TailKeysStayInOneBucket) {
   AccumulatedBatch batch = acc.Seal();
   std::map<KeyId, size_t> key_bucket;
   for (size_t b = 0; b < batch.tail().size(); ++b) {
-    batch.ForEachTailTuple(batch.tail()[b], [&](const Tuple& t) {
+    for (const Tuple& t : batch.tuples(batch.tail()[b])) {
       auto [it, inserted] = key_bucket.insert({t.key, b});
       EXPECT_EQ(it->second, b) << "tail key " << t.key << " in two buckets";
-    });
+    }
   }
 }
 
@@ -146,12 +156,25 @@ TEST(SketchAccumulatorTest, PostSortSealKeepsChainsIntact) {
   SketchAccumulator acc(SketchOpts(64, 20000, 500));
   FeedZipf(acc, 23, 20000, 2000, 1.1);
   AccumulatedBatch batch = acc.SealWithPostSort();
-  for (const SortedKeyRun& run : batch.keys()) {
-    uint64_t chain_len = 0;
-    batch.ForEachTuple(run, 0, run.count + 1,
-                       [&](const Tuple&) { ++chain_len; });
-    EXPECT_EQ(chain_len, run.count);
+  // The re-ordered runs still tile the front of the tuples, each holding
+  // its own key's tuples in arrival order.
+  std::vector<SortedKeyRun> runs = batch.keys();
+  std::sort(runs.begin(), runs.end(),
+            [](const SortedKeyRun& a, const SortedKeyRun& b) {
+              return a.offset < b.offset;
+            });
+  uint64_t next = 0;
+  for (const SortedKeyRun& run : runs) {
+    EXPECT_EQ(run.offset, next) << "key " << run.key;
+    next += run.count;
+    TimeMicros last_ts = 0;
+    for (const Tuple& t : batch.tuples(run)) {
+      EXPECT_EQ(t.key, run.key);
+      EXPECT_GE(t.ts, last_ts);
+      last_ts = t.ts;
+    }
   }
+  EXPECT_EQ(next, batch.stats().head_tuples);
 }
 
 TEST(SketchAccumulatorTest, CmsCrossCheckStillPromotesTrueHitters) {
@@ -266,6 +289,52 @@ TEST(SketchPartitionPlanTest, ExactBatchPlanUnchangedByTailSupport) {
   PartitionedBatch out = MaterializePlan(batch, plan, 4);
   EXPECT_FALSE(out.sketch.sketch_mode);
   EXPECT_EQ(out.num_keys, batch.num_keys());
+}
+
+// A "<field> <n> kB" line of /proc/self/status, in bytes (0 if absent).
+uint64_t ProcStatusBytes(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field, 0) == 0) {
+      return std::stoull(line.substr(field.size())) * 1024;
+    }
+  }
+  return 0;
+}
+
+// Sketch mode exists to keep per-batch memory off the distinct-key count
+// (DESIGN.md §17), and in sketch mode num_keys is the HLL estimate of every
+// distinct key. MaterializePlan's tables only ever hold the blocks'
+// fragments, so the peak it adds must stay near the blocks' own tuples
+// however many distinct keys the batch has. ctest runs each case in its own
+// process, so the process's peak RSS (VmHWM) is this batch's alone.
+TEST(SketchPartitionPlanTest, MaterializeMemoryIgnoresDistinctKeyCount) {
+  constexpr uint64_t kTuples = 700000;
+  SketchAccumulator acc(SketchOpts(4096, kTuples, kTuples, 64));
+  acc.Begin(0, static_cast<TimeMicros>(kTuples));
+  Rng rng(9);
+  for (uint64_t i = 0; i < kTuples; ++i) {
+    // A fifth of the tuples on 1000 hot keys, the rest nearly all distinct.
+    const KeyId key = i % 5 == 0 ? rng.NextBounded(1000)
+                                 : 1000 + rng.NextBounded(1000000000);
+    acc.OnTuple(Tuple{static_cast<TimeMicros>(i), key, 1.0});
+  }
+  const AccumulatedBatch batch = acc.Seal();
+  ASSERT_GT(batch.stats().distinct_estimate, 500000u);
+  const PartitionPlan plan = BuildPromptPlan(batch, 16);
+
+  const uint64_t peak_before = ProcStatusBytes("VmHWM:");
+  const PartitionedBatch out = MaterializePlan(batch, plan, 16);
+  const uint64_t peak_after = ProcStatusBytes("VmHWM:");
+  ASSERT_GT(peak_before, 0u) << "no VmHWM in /proc/self/status";
+
+  uint64_t fragments = 0;
+  for (const DataBlock& block : out.blocks) fragments += block.cardinality();
+  EXPECT_LT(fragments, 50000u);
+  const uint64_t block_bytes = kTuples * sizeof(Tuple);
+  EXPECT_LT(peak_after - peak_before, block_bytes + (8u << 20))
+      << "blocks hold " << block_bytes << " bytes";
 }
 
 TEST(SketchAccumulatorTest, StatsReportDistinctEstimate) {

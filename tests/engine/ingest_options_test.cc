@@ -1,6 +1,5 @@
-// The deprecated flat ingest fields on EngineOptions must keep working for
-// one release: MergeDeprecatedIngestAliases folds them into the grouped
-// EngineOptions::ingest, with explicitly-set grouped fields taking priority.
+// EngineOptions::ingest groups the batching-phase ingest settings; an
+// untouched EngineOptions keeps the single-threaded flat-accumulator path.
 #include <gtest/gtest.h>
 
 #include "engine/engine.h"
@@ -10,46 +9,9 @@ namespace {
 
 TEST(IngestOptionsAliasTest, DefaultsAreUntouched) {
   EngineOptions opts;
-  MergeDeprecatedIngestAliases(&opts);
   EXPECT_EQ(opts.ingest.shards, 1u);
   EXPECT_EQ(opts.ingest.ring_capacity, 16u * 1024u);
   EXPECT_EQ(opts.ingest.accumulator, AccumulatorKind::kFlat);
-}
-
-TEST(IngestOptionsAliasTest, DeprecatedShardsFlowIntoGroupedField) {
-  EngineOptions opts;
-  opts.ingest_shards = 4;  // old-style caller
-  MergeDeprecatedIngestAliases(&opts);
-  EXPECT_EQ(opts.ingest.shards, 4u);
-}
-
-TEST(IngestOptionsAliasTest, DeprecatedRingCapacityFlowsIntoGroupedField) {
-  EngineOptions opts;
-  opts.ingest_ring_capacity = 512;
-  MergeDeprecatedIngestAliases(&opts);
-  EXPECT_EQ(opts.ingest.ring_capacity, 512u);
-}
-
-TEST(IngestOptionsAliasTest, ExplicitGroupedFieldWinsOverAlias) {
-  EngineOptions opts;
-  opts.ingest.shards = 2;   // new-style caller
-  opts.ingest_shards = 8;   // stale alias set elsewhere
-  MergeDeprecatedIngestAliases(&opts);
-  EXPECT_EQ(opts.ingest.shards, 2u);
-
-  EngineOptions opts2;
-  opts2.ingest.ring_capacity = 1024;
-  opts2.ingest_ring_capacity = 64;
-  MergeDeprecatedIngestAliases(&opts2);
-  EXPECT_EQ(opts2.ingest.ring_capacity, 1024u);
-}
-
-TEST(IngestOptionsAliasTest, MergeIsIdempotent) {
-  EngineOptions opts;
-  opts.ingest_shards = 3;
-  MergeDeprecatedIngestAliases(&opts);
-  MergeDeprecatedIngestAliases(&opts);
-  EXPECT_EQ(opts.ingest.shards, 3u);
 }
 
 }  // namespace

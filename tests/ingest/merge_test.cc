@@ -15,7 +15,7 @@ std::vector<SortedKeyRun> MakeRun(
     std::initializer_list<std::pair<KeyId, uint64_t>> entries) {
   std::vector<SortedKeyRun> run;
   for (const auto& [key, count] : entries) {
-    run.push_back(SortedKeyRun{key, count, SortedKeyRun::kNoTuple});
+    run.push_back(SortedKeyRun{key, count});
   }
   return run;
 }
@@ -101,7 +101,7 @@ TEST(LoserTreeMergeTest, RandomizedDisjointShardingIsExactAndSorted) {
     std::vector<std::vector<SortedKeyRun>> shards(num_shards);
     for (const auto& [key, count] : truth) {
       shards[key % num_shards].push_back(
-          SortedKeyRun{key, count, SortedKeyRun::kNoTuple});
+          SortedKeyRun{key, count});
     }
     for (auto& s : shards) {
       std::sort(s.begin(), s.end(),

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "baselines/online_partitioners.h"
+#include "common/hash.h"
 #include "core/prompt_partitioner.h"
 #include "engine/receiver.h"
 #include "workload/sources.h"
@@ -223,8 +224,9 @@ TEST_P(ParallelIngestPipelineTest, ShardStatsCoverAllTuples) {
 // --- Sketch (heavy-hitter) mode ---
 
 // Sketch mode at every shard count: the merged batch conserves all tuples
-// across the run list plus the stitched tail buckets, a tail key never spans
-// two buckets, and the folded stats cover the whole batch.
+// across the run list plus the tail buckets, a tail key never spans two
+// buckets, each global bucket is one range holding shard 0's tuples, then
+// shard 1's, and so on, and the folded stats cover the whole batch.
 TEST(ParallelIngestPipelineSketchTest, TailStitchConservesTuples) {
   const TimeMicros start = 0, end = Seconds(1);
   const auto stream = MakeStream(40000, 5000, 17, start, end);
@@ -245,7 +247,7 @@ TEST(ParallelIngestPipelineSketchTest, TailStitchConservesTuples) {
     EXPECT_EQ(merged.num_tuples(), stream.size()) << "shards=" << shards;
     ASSERT_FALSE(merged.tail().empty()) << "shards=" << shards;
 
-    // Conservation: per-key counts over head runs + tail chains == truth.
+    // Conservation: per-key counts over head runs + tail buckets == truth.
     std::map<KeyId, uint64_t> seen;
     for (const SortedKeyRun& run : merged.keys()) {
       uint64_t chained = 0;
@@ -258,19 +260,28 @@ TEST(ParallelIngestPipelineSketchTest, TailStitchConservesTuples) {
     }
     // A tail key must live in exactly one global bucket (the bucket hash is
     // shard-independent), or Alg. 2 would split it without knowing.
+    // Within a bucket, tuples are ordered by (routing shard, arrival): the
+    // shards' slices follow one another in shard order.
     std::map<KeyId, size_t> key_bucket;
     uint64_t tail_tuples = 0;
+    uint64_t next_offset = merged.tail().front().offset;
     for (size_t b = 0; b < merged.tail().size(); ++b) {
-      uint64_t in_bucket = 0;
-      merged.ForEachTailTuple(merged.tail()[b], [&](const Tuple& t) {
+      const TailBucket& bucket = merged.tail()[b];
+      EXPECT_EQ(bucket.offset, next_offset) << "bucket=" << b;
+      next_offset = bucket.offset + bucket.tuples;
+      std::pair<uint64_t, TimeMicros> last{0, -1};
+      for (const Tuple& t : merged.tuples(bucket)) {
         auto [it, inserted] = key_bucket.emplace(t.key, b);
         EXPECT_EQ(it->second, b) << "tail key " << t.key << " in two buckets";
+        const std::pair<uint64_t, TimeMicros> order{HashKey(t.key) % shards,
+                                                    t.ts};
+        EXPECT_LT(last, order) << "bucket=" << b << " shards=" << shards;
+        last = order;
         ++seen[t.key];
-        ++in_bucket;
-      });
-      EXPECT_EQ(in_bucket, merged.tail()[b].tuples) << "bucket=" << b;
-      tail_tuples += in_bucket;
+      }
+      tail_tuples += bucket.tuples;
     }
+    EXPECT_EQ(next_offset, merged.num_tuples()) << "shards=" << shards;
     EXPECT_EQ(seen, truth) << "shards=" << shards;
 
     const SketchBatchStats& stats = merged.stats();

@@ -89,7 +89,7 @@ std::string HttpGet(uint16_t port, const std::string& path) {
 EngineOptions TelemetryOptions() {
   EngineOptions opts;
   opts.batch_interval = Millis(250);
-  opts.ingest_shards = 2;
+  opts.ingest.shards = 2;
   opts.obs.collect_partition_metrics = true;
   opts.obs.autopsy_enabled = true;
   // Floor the autopsy at 15% of the interval: base Zipf(1.0) skew under

@@ -98,7 +98,7 @@ TEST(ObservabilityTest, OneJsonlTraceLinePerBatch) {
 TEST(ObservabilityTest, SpansCoverReportedLatency) {
   auto source = MakeSource();
   EngineOptions opts = BaseOptions();
-  opts.ingest_shards = 2;  // exercise the ingest annotation spans too
+  opts.ingest.shards = 2;  // exercise the ingest annotation spans too
   MicroBatchEngine engine(opts, JobSpec::WordCount(4),
                           CreatePartitioner(PartitionerType::kPrompt),
                           source.get());
@@ -127,7 +127,7 @@ TEST(ObservabilityTest, SpansCoverReportedLatency) {
 TEST(ObservabilityTest, IngestMetricsEmbeddedInReports) {
   auto source = MakeSource();
   EngineOptions opts = BaseOptions();
-  opts.ingest_shards = 2;
+  opts.ingest.shards = 2;
   MicroBatchEngine engine(opts, JobSpec::WordCount(4),
                           CreatePartitioner(PartitionerType::kPrompt),
                           source.get());
@@ -172,7 +172,7 @@ TEST(ObservabilityTest, MetricsRegistryTracksTheRun) {
   auto source = MakeSource();
   EngineOptions opts = BaseOptions();
   opts.obs.metrics_enabled = true;
-  opts.ingest_shards = 2;
+  opts.ingest.shards = 2;
   MicroBatchEngine engine(opts, JobSpec::WordCount(4),
                           CreatePartitioner(PartitionerType::kPrompt),
                           source.get());
