@@ -7,6 +7,97 @@
 
 namespace prompt {
 
+namespace {
+
+/// One Map task's output: its key clusters in first-emission order (the
+/// list the allocator reads), each cluster's partial aggregate, and whether
+/// the Map function emitted any key other than its tuple's.
+struct MapTaskOutput {
+  std::vector<KeyCluster> clusters;
+  std::vector<double> partials;
+  bool rekeyed = false;
+};
+
+/// Where a Reduce task finds one of its clusters.
+struct ClusterRef {
+  uint32_t task;
+  uint32_t cluster;
+};
+
+/// Runs the Map function over a block and groups output into clusters
+/// (same-key pairs, with split flags from the block reference table).
+MapTaskOutput RunMapTask(const JobSpec& job, const DataBlock& block) {
+  const ReduceFunction& reduce = *job.reduce;
+  const double identity = reduce.Identity();
+  MapTaskOutput out;
+  out.clusters.reserve(block.cardinality());
+  out.partials.reserve(block.cardinality());
+  FlatMap<uint32_t> cluster_of(block.cardinality() + 8);
+  std::vector<KV> emitted;
+  emitted.reserve(2);
+  // A block holds each key's tuples as one contiguous run, so consecutive
+  // emissions mostly share a key and reuse its cluster without a lookup.
+  uint32_t last = 0;
+  for (const Tuple& t : block.tuples()) {
+    emitted.clear();
+    job.map->Map(t, &emitted);
+    for (const KV& kv : emitted) {
+      out.rekeyed |= kv.key != t.key;
+      if (out.clusters.empty() || out.clusters[last].key != kv.key) {
+        bool inserted = false;
+        uint32_t& c = cluster_of.GetOrInsert(kv.key, &inserted);
+        if (inserted) {
+          c = static_cast<uint32_t>(out.clusters.size());
+          out.clusters.push_back(KeyCluster{kv.key, 0, false});
+          out.partials.push_back(identity);
+        }
+        last = c;
+      }
+      out.partials[last] = reduce.Combine(out.partials[last], kv.value);
+      ++out.clusters[last].size;
+    }
+  }
+  // Split flags from the block reference table (written at batching time).
+  for (const KeyFragment& f : block.fragments()) {
+    if (!f.split) continue;
+    if (const uint32_t* c = cluster_of.Find(f.key)) out.clusters[*c].split = true;
+  }
+  return out;
+}
+
+/// Reduces one bucket's clusters, listed in Map-task order. A non-split
+/// cluster is its key's only cluster in the batch and passes straight
+/// through; split keys (every key, when `merge_all`) merge in task order.
+/// `merging` counts the clusters that merge.
+std::vector<KV> RunReduceTask(const ReduceFunction& reduce,
+                              const std::vector<MapTaskOutput>& map_outputs,
+                              const ClusterRef* first, const ClusterRef* last,
+                              size_t merging, bool merge_all) {
+  const double identity = reduce.Identity();
+  std::vector<KV> out;
+  out.reserve(static_cast<size_t>(last - first));
+  FlatMap<uint32_t> entry_of(merging);
+  for (const ClusterRef* ref = first; ref < last; ++ref) {
+    const MapTaskOutput& task = map_outputs[ref->task];
+    const KeyCluster& c = task.clusters[ref->cluster];
+    const double partial = task.partials[ref->cluster];
+    if (!c.split && !merge_all) {
+      out.push_back(KV{c.key, reduce.Combine(identity, partial)});
+      continue;
+    }
+    bool inserted = false;
+    uint32_t& e = entry_of.GetOrInsert(c.key, &inserted);
+    if (inserted) {
+      e = static_cast<uint32_t>(out.size());
+      out.push_back(KV{c.key, identity});
+    }
+    out[e].value = reduce.Combine(out[e].value, partial);
+  }
+  return out;
+}
+
+}  // namespace
+
 BatchExecutor::BatchExecutor(JobSpec job, CostModel cost_model,
                              ReduceAllocator* allocator, ExecutionMode mode)
     : job_(std::move(job)),
@@ -28,45 +119,6 @@ void BatchExecutor::BindMetrics(MetricsRegistry* registry,
       registry->GetHistogram("prompt_reduce_task_cost_us", labels);
 }
 
-std::vector<MapCluster> BatchExecutor::RunMapTask(
-    const DataBlock& block) const {
-  // Split flags from the block reference table (written at batching time).
-  FlatMap<char> split_keys(block.cardinality() + 8);
-  for (const KeyFragment& f : block.fragments()) {
-    if (f.split) split_keys.GetOrInsert(f.key) = 1;
-  }
-
-  struct Agg {
-    uint64_t size = 0;
-    double partial = 0.0;
-    bool init = false;
-  };
-  FlatMap<Agg> clusters(block.cardinality() + 8);
-  std::vector<KV> emitted;
-  emitted.reserve(2);
-  for (const Tuple& t : block.tuples()) {
-    emitted.clear();
-    job_.map->Map(t, &emitted);
-    for (const KV& kv : emitted) {
-      Agg& agg = clusters.GetOrInsert(kv.key);
-      if (!agg.init) {
-        agg.partial = job_.reduce->Identity();
-        agg.init = true;
-      }
-      agg.partial = job_.reduce->Combine(agg.partial, kv.value);
-      ++agg.size;
-    }
-  }
-
-  std::vector<MapCluster> out;
-  out.reserve(clusters.size());
-  clusters.ForEach([&](KeyId key, const Agg& agg) {
-    const char* split = split_keys.Find(key);
-    out.push_back(MapCluster{key, agg.size, split != nullptr, agg.partial});
-  });
-  return out;
-}
-
 BatchExecution BatchExecutor::Execute(const PartitionedBatch& batch,
                                       uint32_t reduce_tasks, uint32_t cores,
                                       ThreadPool* pool) {
@@ -74,22 +126,23 @@ BatchExecution BatchExecutor::Execute(const PartitionedBatch& batch,
   PROMPT_CHECK(cores >= 1);
   BatchExecution exec;
   const size_t m = batch.blocks.size();
-  std::vector<std::vector<MapCluster>> map_outputs(m);
+  const bool on_pool = mode_ == ExecutionMode::kReal && pool != nullptr;
+  std::vector<MapTaskOutput> map_outputs(m);
   exec.map_task_costs.assign(m, 0);
 
   // --- Map stage ---
-  if (mode_ == ExecutionMode::kReal && pool != nullptr) {
+  if (on_pool) {
     for (size_t i = 0; i < m; ++i) {
       pool->Submit([this, i, &batch, &map_outputs, &exec] {
         Stopwatch watch;
-        map_outputs[i] = RunMapTask(batch.blocks[i]);
+        map_outputs[i] = RunMapTask(job_, batch.blocks[i]);
         exec.map_task_costs[i] = std::max<TimeMicros>(1, watch.ElapsedMicros());
       });
     }
     pool->WaitIdle();
   } else {
     for (size_t i = 0; i < m; ++i) {
-      map_outputs[i] = RunMapTask(batch.blocks[i]);
+      map_outputs[i] = RunMapTask(job_, batch.blocks[i]);
       exec.map_task_costs[i] = cost_model_.MapTaskCost(
           batch.blocks[i].size(), batch.blocks[i].cardinality());
     }
@@ -97,57 +150,63 @@ BatchExecution BatchExecutor::Execute(const PartitionedBatch& batch,
   exec.map_makespan = ScheduleStage(exec.map_task_costs, cores).makespan;
 
   // --- Shuffle: each Map task independently assigns its clusters to the
-  // Reduce buckets (Alg. 3 for Prompt, hashing for the baselines). ---
-  struct Agg {
-    double value = 0.0;
-    bool init = false;
-  };
-  std::vector<FlatMap<Agg>> bucket_state;
-  bucket_state.reserve(reduce_tasks);
-  for (uint32_t j = 0; j < reduce_tasks; ++j) bucket_state.emplace_back(256);
+  // Reduce buckets (Alg. 3 for Prompt, hashing for the baselines). A key
+  // changed by the Map function may have non-split clusters in several
+  // blocks, so then every cluster merges. ---
   exec.bucket_tuples.assign(reduce_tasks, 0);
   exec.bucket_clusters.assign(reduce_tasks, 0);
-
-  std::vector<KeyCluster> view;
+  std::vector<size_t> bucket_merging(reduce_tasks, 0);
+  bool merge_all = false;
+  for (const MapTaskOutput& out : map_outputs) merge_all |= out.rekeyed;
+  std::vector<std::vector<uint32_t>> assignments(m);
   for (size_t i = 0; i < m; ++i) {
-    const auto& clusters = map_outputs[i];
-    view.clear();
-    view.reserve(clusters.size());
-    for (const MapCluster& c : clusters) {
-      view.push_back(KeyCluster{c.key, c.size, c.split});
-    }
-    std::vector<uint32_t> assignment = allocator_->Assign(view, reduce_tasks);
-    PROMPT_CHECK(assignment.size() == clusters.size());
+    const std::vector<KeyCluster>& clusters = map_outputs[i].clusters;
+    assignments[i] = allocator_->Assign(clusters, reduce_tasks);
+    PROMPT_CHECK(assignments[i].size() == clusters.size());
     for (size_t c = 0; c < clusters.size(); ++c) {
-      const uint32_t j = assignment[c];
+      const uint32_t j = assignments[i][c];
       PROMPT_CHECK(j < reduce_tasks);
-      Agg& agg = bucket_state[j].GetOrInsert(clusters[c].key);
-      if (!agg.init) {
-        agg.value = job_.reduce->Identity();
-        agg.init = true;
-      }
-      agg.value = job_.reduce->Combine(agg.value, clusters[c].partial);
       exec.bucket_tuples[j] += clusters[c].size;
       ++exec.bucket_clusters[j];
+      if (clusters[c].split || merge_all) ++bucket_merging[j];
+    }
+  }
+  // One counting pass lists each bucket's clusters in Map-task order, the
+  // order in which split keys' partials merge.
+  std::vector<size_t> bucket_begin(reduce_tasks + 1, 0);
+  for (uint32_t j = 0; j < reduce_tasks; ++j) {
+    bucket_begin[j + 1] = bucket_begin[j] + exec.bucket_clusters[j];
+  }
+  std::vector<ClusterRef> refs(bucket_begin[reduce_tasks]);
+  std::vector<size_t> next(bucket_begin.begin(), bucket_begin.end() - 1);
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t c = 0; c < assignments[i].size(); ++c) {
+      refs[next[assignments[i][c]]++] =
+          ClusterRef{static_cast<uint32_t>(i), static_cast<uint32_t>(c)};
     }
   }
 
-  // --- Reduce stage ---
+  // --- Reduce stage: one task per bucket ---
+  std::vector<std::vector<KV>> bucket_outputs(reduce_tasks);
   exec.reduce_task_costs.assign(reduce_tasks, 0);
-  for (uint32_t j = 0; j < reduce_tasks; ++j) {
-    if (mode_ == ExecutionMode::kReal) {
-      // The merge already happened while draining the shuffle; model the
-      // measured cost as proportional to the real merged volume by timing a
-      // walk over the bucket (cheap but non-zero).
-      Stopwatch watch;
-      volatile double sink = 0;
-      bucket_state[j].ForEach([&sink](KeyId, const Agg& a) {
-        sink = sink + a.value;
+  auto reduce_bucket = [&, this](uint32_t j) {
+    bucket_outputs[j] = RunReduceTask(
+        *job_.reduce, map_outputs, refs.data() + bucket_begin[j],
+        refs.data() + bucket_begin[j + 1], bucket_merging[j], merge_all);
+  };
+  if (on_pool) {
+    for (uint32_t j = 0; j < reduce_tasks; ++j) {
+      pool->Submit([j, &reduce_bucket, &exec] {
+        Stopwatch watch;
+        reduce_bucket(j);
+        exec.reduce_task_costs[j] =
+            std::max<TimeMicros>(1, watch.ElapsedMicros());
       });
-      exec.reduce_task_costs[j] = std::max<TimeMicros>(
-          1, watch.ElapsedMicros() +
-                 static_cast<TimeMicros>(exec.bucket_tuples[j] / 100));
-    } else {
+    }
+    pool->WaitIdle();
+  } else {
+    for (uint32_t j = 0; j < reduce_tasks; ++j) {
+      reduce_bucket(j);
       exec.reduce_task_costs[j] = cost_model_.ReduceTaskCost(ReduceTaskInput{
           exec.bucket_tuples[j], exec.bucket_clusters[j]});
     }
@@ -167,13 +226,15 @@ BatchExecution BatchExecutor::Execute(const PartitionedBatch& batch,
     }
   }
 
-  // --- Batch output: per-key aggregates (keys are disjoint across buckets
-  // because non-split keys live in one block and split keys hash
-  // consistently). ---
-  for (uint32_t j = 0; j < reduce_tasks; ++j) {
-    bucket_state[j].ForEach([&exec](KeyId key, const Agg& agg) {
-      exec.output.push_back(KV{key, agg.value});
-    });
+  // --- Batch output: the buckets' outputs back to back. Without a
+  // key-changing Map each key occurs once: a non-split key lives in one
+  // block (one cluster in the batch), and every Map task hashes a split key
+  // to the same bucket. ---
+  size_t entries = 0;
+  for (const std::vector<KV>& out : bucket_outputs) entries += out.size();
+  exec.output.reserve(entries);
+  for (const std::vector<KV>& out : bucket_outputs) {
+    exec.output.insert(exec.output.end(), out.begin(), out.end());
   }
   return exec;
 }

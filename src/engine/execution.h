@@ -25,16 +25,6 @@ enum class ExecutionMode {
   kReal,
 };
 
-/// \brief Map-side partial aggregate for one key (map-side clusters carry
-/// the tuple count that defines their *size* in the paper's model, plus the
-/// partially-combined value so Reduce output is exact).
-struct MapCluster {
-  KeyId key = 0;
-  uint64_t size = 0;
-  bool split = false;
-  double partial = 0.0;
-};
-
 /// \brief Everything observable about one executed batch.
 struct BatchExecution {
   TimeMicros map_makespan = 0;
@@ -46,7 +36,8 @@ struct BatchExecution {
   std::vector<TimeMicros> reduce_completions;
   std::vector<uint64_t> bucket_tuples;
   std::vector<uint64_t> bucket_clusters;
-  /// Exact per-key aggregates of this batch (consumed by the window state).
+  /// Exact per-key aggregates of this batch (consumed by the window state),
+  /// bucket by bucket. The entry order is not part of the contract.
   std::vector<KV> output;
 
   TimeMicros processing_time() const { return map_makespan + reduce_makespan; }
@@ -77,10 +68,6 @@ class BatchExecutor {
   const JobSpec& job() const { return job_; }
 
  private:
-  /// Runs the Map function over a block and groups output into clusters
-  /// (same-key pairs, with split flags from the block reference table).
-  std::vector<MapCluster> RunMapTask(const DataBlock& block) const;
-
   JobSpec job_;
   CostModel cost_model_;
   ReduceAllocator* allocator_;

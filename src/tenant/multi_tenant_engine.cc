@@ -190,6 +190,11 @@ Result<std::unique_ptr<MultiTenantEngine>> MultiTenantEngine::Create(
     engine->ingest_->BindMetrics(engine->obs_->registry());
   }
 
+  // Created before recovery, which re-executes the stored batches on it.
+  if (opts.mode == ExecutionMode::kReal) {
+    engine->pool_ = std::make_unique<ThreadPool>(opts.total_slots);
+  }
+
   if (opts.store.enabled()) {
     // One shared segment log; tenant index = owner namespace. Recovery
     // replays each tenant's surviving batches into its own window, exactly
@@ -220,7 +225,7 @@ Result<std::unique_ptr<MultiTenantEngine>> MultiTenantEngine::Create(
         }
         BatchExecution exec = engine->tenants_[ti].ctx->executor->Execute(
             *decoded, ctx.reduce_tasks,
-            std::max<uint32_t>(1, opts.total_slots), nullptr);
+            std::max<uint32_t>(1, opts.total_slots), engine->pool_.get());
         ctx.window->AddBatch(std::move(exec.output));
         ctx.next_batch_id = std::max(ctx.next_batch_id, id + 1);
         max_recovered = std::max(max_recovered, id);
@@ -327,9 +332,6 @@ BatchReport MultiTenantEngine::ProcessTenantBatch(Tenant* tenant,
 }
 
 MultiTenantRunSummary MultiTenantEngine::Run(uint32_t num_batches) {
-  if (options_.mode == ExecutionMode::kReal && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.total_slots);
-  }
   MultiTenantRunSummary run;
   run.tenants.resize(tenants_.size());
   for (size_t ti = 0; ti < tenants_.size(); ++ti) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -217,6 +218,66 @@ TEST(MultiTenantEngineTest, WeightsDriveSlotsGranted) {
     uint64_t total = 0;
     for (uint64_t c : t.cause_counts) total += c;
     EXPECT_EQ(total, 10u);
+  }
+}
+
+// kReal runs every Map and Reduce task on the slot pool, including the
+// re-execution of stored batches that rebuilds the windows when a restart
+// recovers the store. Both tenants' windows must equal a kSimulated run's,
+// before the restart and after it.
+TEST(MultiTenantEngineTest, RealModeDurableRestartMatchesSimulated) {
+  using Windows = std::vector<std::unordered_map<KeyId, double>>;
+  struct Outcome {
+    Windows before;
+    Windows recovered;
+    uint64_t batches_recovered = 0;
+  };
+  auto run = [](ExecutionMode mode, const std::string& name) {
+    const std::string dir = ::testing::TempDir() + "/mt_restart_" + name;
+    std::filesystem::remove_all(dir);
+    MultiTenantEngineOptions opts = FastOptions(/*total_slots=*/4);
+    opts.mode = mode;
+    opts.store.dir = dir;
+    auto specs = [] {
+      TenantQuerySpec all =
+          MakeSpec("all", 1, "SELECT COUNT WINDOW 1000MS SLIDE 200MS");
+      all.technique = PartitionerType::kPrompt;
+      TenantQuerySpec odd = MakeSpec(
+          "odd", 1, "SELECT MAX WINDOW 600MS SLIDE 200MS", ModFilter(2, 1));
+      odd.technique = PartitionerType::kPk2;
+      return std::vector<TenantQuerySpec>{all, odd};
+    };
+    Outcome outcome;
+    for (const bool restart : {false, true}) {
+      auto source = MakeSource(12000, 1.1, 800, 31);
+      auto mt = MultiTenantEngine::Create(opts, specs(), source.get());
+      EXPECT_TRUE(mt.ok()) << mt.status().message();
+      if (!mt.ok()) return outcome;
+      MultiTenantEngine& engine = *mt.ValueOrDie();
+      if (!restart) engine.Run(8);
+      Windows& windows = restart ? outcome.recovered : outcome.before;
+      for (size_t t = 0; t < engine.tenants(); ++t) {
+        windows.push_back(engine.window(t).Result());
+      }
+      if (restart) {
+        outcome.batches_recovered = engine.durable_recovery().batches_recovered;
+        EXPECT_FALSE(engine.durable_recovery().data_loss);
+      }
+    }
+    std::filesystem::remove_all(dir);
+    return outcome;
+  };
+  const Outcome simulated = run(ExecutionMode::kSimulated, "simulated");
+  const Outcome real = run(ExecutionMode::kReal, "real");
+  ASSERT_EQ(real.before.size(), 2u);
+  ASSERT_EQ(real.recovered.size(), 2u);
+  EXPECT_GT(real.batches_recovered, 0u);
+  EXPECT_EQ(real.batches_recovered, simulated.batches_recovered);
+  for (size_t t = 0; t < 2; ++t) {
+    EXPECT_FALSE(real.before[t].empty()) << "tenant " << t;
+    EXPECT_EQ(real.before[t], simulated.before[t]) << "tenant " << t;
+    EXPECT_EQ(real.recovered[t], simulated.recovered[t]) << "tenant " << t;
+    EXPECT_EQ(real.recovered[t], real.before[t]) << "tenant " << t;
   }
 }
 
