@@ -17,13 +17,11 @@ void OnlinePartitionerBase::Begin(uint32_t num_blocks, TimeMicros start,
   blocks_.clear();
   blocks_.reserve(num_blocks);
   for (uint32_t b = 0; b < num_blocks; ++b) blocks_.emplace_back(b);
-  distinct_keys_.Clear();
   OnBegin();
 }
 
 void OnlinePartitionerBase::OnTuple(const Tuple& t) {
   ++num_tuples_;
-  distinct_keys_.GetOrInsert(t.key);
   uint32_t b = ChooseBlock(t);
   PROMPT_CHECK(b < num_blocks_);
   blocks_[b].Append(t);
@@ -34,11 +32,10 @@ PartitionedBatch OnlinePartitionerBase::Seal(uint64_t batch_id) {
   out.batch_id = batch_id;
   out.seal_time = batch_end_;
   out.num_tuples = num_tuples_;
-  out.num_keys = distinct_keys_.size();
   out.blocks = std::move(blocks_);
   blocks_.clear();
   for (DataBlock& b : out.blocks) b.Finalize();
-  out.ComputeSplitFlags();
+  out.ComputeSplitFlags(&out.num_keys);
   // Online techniques amortize their decision per tuple; there is no
   // seal-time partitioning step, so the batching-phase cost is ~0.
   out.partition_cost = 0;
@@ -85,6 +82,7 @@ void CamPartitioner::OnBegin() {
   block_cardinalities_.assign(num_blocks_, 0);
   presence_.clear();
   for (uint32_t b = 0; b < num_blocks_; ++b) presence_.emplace_back(256);
+  distinct_keys_.Clear();
 }
 
 uint32_t CamPartitioner::ChooseBlock(const Tuple& t) {
@@ -92,6 +90,7 @@ uint32_t CamPartitioner::ChooseBlock(const Tuple& t) {
   // would be new to the block, the expected per-key aggregation surcharge
   // (estimated as the running average tuples-per-key). Minimizing this
   // trades size imbalance against cardinality imbalance, per [25].
+  distinct_keys_.GetOrInsert(t.key);
   const uint32_t d = std::min(candidates_, num_blocks_);
   const double avg_cluster =
       distinct_keys_.size() > 0

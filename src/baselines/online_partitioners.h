@@ -14,7 +14,8 @@ namespace prompt {
 
 /// \brief Shared scaffolding for techniques that place every tuple into a
 /// block at arrival time. Subclasses implement ChooseBlock(); Seal()
-/// finalizes fragment summaries and split flags.
+/// finalizes fragment summaries and split flags, and counts the batch's
+/// distinct keys from them.
 class OnlinePartitionerBase : public BatchPartitioner {
  public:
   void Begin(uint32_t num_blocks, TimeMicros start, TimeMicros end) override;
@@ -32,7 +33,6 @@ class OnlinePartitionerBase : public BatchPartitioner {
   TimeMicros batch_end_ = 0;
   std::vector<DataBlock> blocks_;
   uint64_t num_tuples_ = 0;
-  FlatMap<char> distinct_keys_{1024};
 };
 
 /// \brief §2.2.1: block = position of the tuple's arrival time within the
@@ -117,6 +117,9 @@ class CamPartitioner final : public OnlinePartitionerBase {
   std::vector<uint64_t> block_cardinalities_;
   // presence[b] answers "does block b already hold key k".
   std::vector<FlatMap<char>> presence_;
+  // Distinct keys so far, the current tuple's included: the cost reads the
+  // running average tuples per key.
+  FlatMap<char> distinct_keys_{1024};
 };
 
 }  // namespace prompt

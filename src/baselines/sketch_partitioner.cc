@@ -51,9 +51,7 @@ PartitionedBatch SketchPartitioner::Seal(uint64_t batch_id) {
     }
   }
 
-  FlatMap<char> distinct(buffer_.size() / 4 + 16);
   for (const Tuple& t : buffer_) {
-    distinct.GetOrInsert(t.key);
     uint32_t* cursor = heavy_cursor.Find(t.key);
     uint32_t block;
     if (cursor != nullptr) {
@@ -64,13 +62,12 @@ PartitionedBatch SketchPartitioner::Seal(uint64_t batch_id) {
     }
     out.blocks[block].Append(t);
   }
-  out.num_keys = distinct.size();
   // Carry the advanced cursors into the next batch; replacing the map also
   // drops keys that stopped being heavy, so it stays bounded by the sketch
   // capacity instead of accreting every heavy key the run ever saw.
   cursor_ = std::move(heavy_cursor);
   for (DataBlock& b : out.blocks) b.Finalize();
-  out.ComputeSplitFlags();
+  out.ComputeSplitFlags(&out.num_keys);
   out.partition_cost = watch.ElapsedMicros();
   return out;
 }

@@ -1,7 +1,7 @@
 #include "core/flat_accumulator.h"
 
 #include <algorithm>
-#include <bit>
+#include <span>
 
 #include "core/scatter.h"
 
@@ -35,7 +35,7 @@ void FlatAccumulator::Reset() {
   std::vector<Tuple>().swap(log_);
   std::vector<uint32_t>().swap(log_slot_);
   std::vector<Tuple>().swap(sealed_);
-  for (auto& bucket : radix_buckets_) std::vector<SealEntry>().swap(bucket);
+  rank_scratch_ = RankOrderScratch();
 }
 
 size_t FlatAccumulator::capacity_bytes() const {
@@ -91,10 +91,12 @@ void FlatAccumulator::OnTuple(const Tuple& t) {
   if (delta_freq >= ks.f_step || now >= ks.t_next) RankUpdate(ks, now);
 }
 
-SortedKeyRun FlatAccumulator::PlaceRun(KeyState& ks, uint64_t* offset) {
-  ks.cursor = *offset;
-  *offset += ks.freq_current;
-  return SortedKeyRun{ks.key, ks.freq_current, ks.cursor};
+void FlatAccumulator::PlaceRuns() {
+  uint64_t offset = 0;
+  for (KeyState& ks : states_) {
+    ks.cursor = offset;
+    offset += ks.freq_current;
+  }
 }
 
 AccumulatedBatch FlatAccumulator::MakeBatch(std::vector<SortedKeyRun> keys) {
@@ -107,44 +109,28 @@ AccumulatedBatch FlatAccumulator::MakeBatch(std::vector<SortedKeyRun> keys) {
 }
 
 AccumulatedBatch FlatAccumulator::Seal() {
-  // Two-phase radix-partitioned merge reproducing the CountTree's reverse
-  // in-order traversal: descending (freq_updated, key), larger key first on
-  // ties, while the emitted counts stay the exact freq_current.
-  //
-  // Phase 1: scatter every key into one of 64 buckets by the bit-width of
-  // its freq_updated (>= 1 always). Buckets are already ordered relative to
-  // each other — every key in a higher bucket outranks every key in a lower
-  // one — so phase 2 only sorts within buckets, each a small fraction of K.
-  for (auto& bucket : radix_buckets_) bucket.clear();
-  uint64_t offset = 0;
-  for (KeyState& ks : states_) {
-    const int bw = std::bit_width(ks.freq_updated);
-    radix_buckets_[bw - 1].push_back(
-        SealEntry{ks.freq_updated, PlaceRun(ks, &offset)});
-  }
-
-  // Phase 2: exact-sort each bucket, concatenate high-to-low.
+  // Reproduces the CountTree's reverse in-order traversal: descending
+  // (freq_updated, key), larger key first on ties, while the emitted counts
+  // stay the exact freq_current.
+  PlaceRuns();
+  const std::span<const RankedItem> order = OrderByRank(
+      static_cast<uint32_t>(states_.size()),
+      [this](uint32_t i) { return states_[i].freq_updated; },
+      [this](uint32_t i) { return states_[i].key; }, KeyTies::kDescending,
+      &rank_scratch_);
   std::vector<SortedKeyRun> keys;
-  keys.reserve(states_.size());
-  for (int b = 63; b >= 0; --b) {
-    std::vector<SealEntry>& bucket = radix_buckets_[b];
-    if (bucket.empty()) continue;
-    std::sort(bucket.begin(), bucket.end(),
-              [](const SealEntry& a, const SealEntry& b) {
-                return a.freq_updated != b.freq_updated
-                           ? a.freq_updated > b.freq_updated
-                           : a.run.key > b.run.key;
-              });
-    for (const SealEntry& e : bucket) keys.push_back(e.run);
+  keys.reserve(order.size());
+  for (const RankedItem& item : order) {
+    keys.push_back(RunOf(states_[item.index]));
   }
   return MakeBatch(std::move(keys));
 }
 
 AccumulatedBatch FlatAccumulator::SealWithPostSort() {
+  PlaceRuns();
   std::vector<SortedKeyRun> keys;
   keys.reserve(states_.size());
-  uint64_t offset = 0;
-  for (KeyState& ks : states_) keys.push_back(PlaceRun(ks, &offset));
+  for (const KeyState& ks : states_) keys.push_back(RunOf(ks));
   std::sort(keys.begin(), keys.end(),
             [](const SortedKeyRun& a, const SortedKeyRun& b) {
               return a.count != b.count ? a.count > b.count : a.key < b.key;

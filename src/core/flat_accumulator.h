@@ -1,16 +1,16 @@
 // Flat implementation of Alg. 1 (paper §4.1): robin-hood hashing over an
-// append-only tuple log, with the CountTree replaced by a radix-partitioned
-// seal. Callers should obtain it via MakeAccumulator() (accumulator_api.h)
-// rather than naming this class.
+// append-only tuple log, with the CountTree replaced by one counting-sort
+// order at seal. Callers should obtain it via MakeAccumulator()
+// (accumulator_api.h) rather than naming this class.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "common/macros.h"
 #include "common/robin_hood_map.h"
 #include "core/accumulator_api.h"
+#include "core/rank_order.h"
 
 namespace prompt {
 
@@ -26,16 +26,14 @@ namespace prompt {
 /// which is plain integer arithmetic independent of the tree. So this
 /// implementation runs the identical state machine per tuple — updating a
 /// key's freq_updated costs a few ALU ops instead of an O(log K) AVL
-/// erase+insert — and materializes the order once at Seal() via a two-phase
-/// radix-partitioned merge:
-///   phase 1 scatters keys into 64 buckets by bit-width of freq_updated
-///   (a power-of-two frequency histogram, coarsest-to-finest);
-///   phase 2 exact-sorts each small bucket by (freq_updated desc, key desc)
-///   and concatenates buckets high-to-low.
+/// erase+insert — and materializes the order once at Seal() with the shared
+/// rank order (core/rank_order.h): a counting sort on freq_updated, then a
+/// radix sort by key inside each equal-frequency run. Keys are distinct, so
+/// (freq_updated desc, key desc) is a total order.
 /// OnTuple appends each tuple and its key's slot to two logs. Seal() lays the
-/// runs out in first-arrival order of their keys, in the same pass as phase
-/// 1, and scatters the log into them (ScatterBySlot), so each key's tuples
-/// are contiguous and in arrival order.
+/// runs out in first-arrival order of their keys and scatters the log into
+/// them (ScatterBySlot), so each key's tuples are contiguous and in arrival
+/// order.
 class FlatAccumulator final : public Accumulator {
  public:
   explicit FlatAccumulator(AccumulatorOptions options = {})
@@ -54,15 +52,11 @@ class FlatAccumulator final : public Accumulator {
   uint64_t ordering_updates() const override { return ordering_updates_; }
   size_t capacity_bytes() const override;
 
-  /// Key-proportional state: hash table + per-key records + seal buckets
-  /// (the tuple arrays are O(tuples) and excluded).
+  /// Key-proportional state: hash table + per-key records + seal order
+  /// buffers (the tuple arrays are O(tuples) and excluded).
   size_t key_state_bytes() const override {
-    size_t bytes =
-        table_.capacity_bytes() + states_.capacity() * sizeof(KeyState);
-    for (const auto& bucket : radix_buckets_) {
-      bytes += bucket.capacity() * sizeof(SealEntry);
-    }
-    return bytes;
+    return table_.capacity_bytes() + states_.capacity() * sizeof(KeyState) +
+           rank_scratch_.capacity_bytes();
   }
 
   const AccumulatorOptions& options() const override { return options_; }
@@ -83,16 +77,14 @@ class FlatAccumulator final : public Accumulator {
     uint64_t cursor = 0;
   };
 
-  /// A key queued for phase-2 sorting: rank fields + run payload.
-  struct SealEntry {
-    uint64_t freq_updated = 0;
-    SortedKeyRun run;
-  };
-
   void RankUpdate(KeyState& ks, TimeMicros now);
-  /// Places the key's run at *offset, points its scatter cursor there and
-  /// advances *offset past it.
-  static SortedKeyRun PlaceRun(KeyState& ks, uint64_t* offset);
+  /// Places every key's run, in first-arrival order, and points each key's
+  /// scatter cursor at the start of its run.
+  void PlaceRuns();
+  /// The key's placed run; read it before the scatter advances the cursor.
+  static SortedKeyRun RunOf(const KeyState& ks) {
+    return SortedKeyRun{ks.key, ks.freq_current, ks.cursor};
+  }
   /// Scatters the tuple log into the placed runs.
   AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys);
 
@@ -104,9 +96,8 @@ class FlatAccumulator final : public Accumulator {
   std::vector<uint32_t> log_slot_;
   /// Seal() output: the log regrouped into contiguous key runs.
   std::vector<Tuple> sealed_;
-  /// Phase-1 radix buckets, indexed by bit_width(freq_updated) - 1; member
-  /// so their capacity survives across batches.
-  std::array<std::vector<SealEntry>, 64> radix_buckets_;
+  /// Seal() order buffers; member so their capacity survives across batches.
+  RankOrderScratch rank_scratch_;
   TimeMicros batch_start_ = 0;
   TimeMicros batch_end_ = 0;
   uint64_t num_tuples_ = 0;

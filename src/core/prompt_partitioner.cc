@@ -199,22 +199,20 @@ PartitionPlan BuildPromptPlan(const AccumulatedBatch& batch,
     }
   }
 
-  // Plan statistics: distinct (key, block) placements and split keys.
-  FlatMap<uint32_t> blocks_of_key(k + 8);
+  // Plan statistics: distinct (key, block) placements and split keys. A key
+  // can be placed twice in one block (pass 3 tops up a split key's home
+  // block), which is one fragment. Blocks are visited in order, so a key's
+  // placements in block b are all seen while b is its last block.
+  std::vector<uint32_t> last_block(k, num_blocks);
+  std::vector<uint32_t> blocks_of_key(k, 0);
   for (uint32_t b = 0; b < num_blocks; ++b) {
-    FlatMap<char> seen(plan.blocks[b].size() + 8);
     for (const PlanPlacement& pl : plan.blocks[b]) {
-      bool inserted = false;
-      seen.GetOrInsert(pl.key_index, &inserted);
-      if (inserted) {
-        ++plan.fragments;
-        ++blocks_of_key.GetOrInsert(pl.key_index);
-      }
+      if (last_block[pl.key_index] == b) continue;
+      last_block[pl.key_index] = b;
+      ++plan.fragments;
+      if (++blocks_of_key[pl.key_index] == 2) ++plan.split_keys;
     }
   }
-  blocks_of_key.ForEach([&plan](KeyId, uint32_t n) {
-    if (n > 1) ++plan.split_keys;
-  });
   return plan;
 }
 

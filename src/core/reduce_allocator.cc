@@ -1,9 +1,10 @@
 #include "core/reduce_allocator.h"
 
 #include <algorithm>
-#include <bit>
+#include <span>
 
 #include "common/hash.h"
+#include "core/rank_order.h"
 
 namespace prompt {
 
@@ -16,69 +17,6 @@ uint32_t BucketOf(KeyId key, uint32_t num_buckets) {
   return static_cast<uint32_t>(HashKey(key, kReduceHashSeed) % num_buckets);
 }
 
-/// A non-split cluster in placement order.
-struct Ranked {
-  KeyId key;
-  uint32_t index;  ///< position in the Assign input
-};
-
-constexpr size_t kInsertionSortMax = 16;
-
-void InsertionSortByKey(Ranked* first, Ranked* last) {
-  for (Ranked* i = first + 1; i < last; ++i) {
-    const Ranked v = *i;
-    Ranked* j = i;
-    for (; j > first && v.key < (j - 1)->key; --j) *j = *(j - 1);
-    *j = v;
-  }
-}
-
-constexpr int kMaxDigitBits = 11;
-
-/// MSD radix sort of [first, last) by key; `scratch` holds last - first
-/// entries. Each pass distributes on the digit that ends at the highest bit
-/// in which the range's keys differ, so keys sharing their high bytes (small
-/// integers, dictionary ids) cost no pass over constant bits. The digit is
-/// 8 to 11 bits wide, about log2 of the range length, so sub-ranges come
-/// out a few keys long. Keys of a sub-range agree on every bit the pass
-/// read, so each level narrows the varying bits.
-void SortByKey(Ranked* first, Ranked* last, Ranked* scratch) {
-  const size_t n = static_cast<size_t>(last - first);
-  if (n <= kInsertionSortMax) {
-    InsertionSortByKey(first, last);
-    return;
-  }
-  uint64_t differ = 0;
-  for (const Ranked* p = first + 1; p < last; ++p) differ |= p->key ^ first->key;
-  if (differ == 0) return;
-  const int varying = std::bit_width(differ);
-  const int bits = std::min(
-      varying, std::clamp(static_cast<int>(std::bit_width(n)), 8, kMaxDigitBits));
-  const int shift = varying - bits;
-  const uint64_t mask = (uint64_t{1} << bits) - 1;
-  const size_t digits = size_t{1} << bits;
-  uint32_t begin[(1 << kMaxDigitBits) + 1];
-  std::fill(begin, begin + digits + 1, 0u);
-  for (const Ranked* p = first; p < last; ++p) {
-    ++begin[((p->key >> shift) & mask) + 1];
-  }
-  for (size_t d = 0; d < digits; ++d) begin[d + 1] += begin[d];
-  for (const Ranked* p = first; p < last; ++p) {
-    scratch[begin[(p->key >> shift) & mask]++] = *p;
-  }
-  std::copy(scratch, scratch + n, first);
-  // begin[d] now holds the end of digit d's sub-range.
-  uint32_t from = 0;
-  for (size_t d = 0; d < digits; ++d) {
-    const uint32_t to = begin[d];
-    if (to - from > kInsertionSortMax) {
-      SortByKey(first + from, first + to, scratch);
-    } else if (to - from > 1) {
-      InsertionSortByKey(first + from, first + to);
-    }
-    from = to;
-  }
-}
 }  // namespace
 
 std::vector<uint32_t> HashReduceAllocator::Assign(
@@ -103,8 +41,8 @@ std::vector<uint32_t> PromptReduceAllocator::Assign(
 
   // Lines 2-3: split keys must follow the global hash; they consume capacity.
   std::vector<double> used(num_buckets, 0.0);
-  size_t non_split = 0;
-  uint64_t max_size = 0;
+  std::vector<uint32_t> non_split;
+  non_split.reserve(clusters.size());
   for (size_t i = 0; i < clusters.size(); ++i) {
     const KeyCluster& c = clusters[i];
     if (c.split) {
@@ -112,60 +50,18 @@ std::vector<uint32_t> PromptReduceAllocator::Assign(
       assignment[i] = b;
       used[b] += static_cast<double>(c.size);
     } else {
-      ++non_split;
-      max_size = std::max(max_size, c.size);
+      non_split.push_back(static_cast<uint32_t>(i));
     }
   }
 
   // Line 4 orders the non-split clusters by decreasing size, equal sizes by
-  // increasing key. Sizes below a bound linear in the cluster count are
-  // counting-sorted, so the order costs no comparisons; the few clusters at
-  // or above it are comparison-sorted and go first.
-  const uint64_t counted_sizes =
-      std::min<uint64_t>(max_size + 1, 2 * clusters.size() + 64);
-  std::vector<uint32_t> size_count(counted_sizes, 0);
-  std::vector<uint32_t> large;
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    const KeyCluster& c = clusters[i];
-    if (c.split) continue;
-    if (c.size < counted_sizes) {
-      ++size_count[c.size];
-    } else {
-      large.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  std::sort(large.begin(), large.end(), [&](uint32_t a, uint32_t b) {
-    return clusters[a].size != clusters[b].size
-               ? clusters[a].size > clusters[b].size
-               : clusters[a].key < clusters[b].key;
-  });
-  std::vector<Ranked> order(non_split);
-  for (size_t i = 0; i < large.size(); ++i) {
-    order[i] = Ranked{clusters[large[i]].key, large[i]};
-  }
-  // size_count[s] becomes the start of size s's run (smaller sizes later),
-  // and the scatter below advances it to the run's end.
-  uint32_t run_start = static_cast<uint32_t>(non_split);
-  for (uint64_t s = 0; s < counted_sizes; ++s) {
-    run_start -= size_count[s];
-    size_count[s] = run_start;
-  }
-  for (size_t i = 0; i < clusters.size(); ++i) {
-    const KeyCluster& c = clusters[i];
-    if (!c.split && c.size < counted_sizes) {
-      order[size_count[c.size]++] = Ranked{c.key, static_cast<uint32_t>(i)};
-    }
-  }
-  // Each equal-size run now spans [previous size's end, size_count[s]).
-  std::vector<Ranked> scratch(non_split);
-  uint32_t run_begin = static_cast<uint32_t>(large.size());
-  for (uint64_t s = counted_sizes; s-- > 0;) {
-    const uint32_t end = size_count[s];
-    if (end - run_begin > 1) {
-      SortByKey(order.data() + run_begin, order.data() + end, scratch.data());
-    }
-    run_begin = end;
-  }
+  // increasing key, with the shared comparison-free rank order.
+  RankOrderScratch scratch;
+  const std::span<const RankedItem> order = OrderByRank(
+      static_cast<uint32_t>(non_split.size()),
+      [&](uint32_t i) { return clusters[non_split[i]].size; },
+      [&](uint32_t i) { return clusters[non_split[i]].key; },
+      KeyTies::kAscending, &scratch);
 
   // Lines 5-12: Worst-Fit with bucket retirement. Each chosen bucket leaves
   // the candidate set until all buckets received a cluster, which also
@@ -185,8 +81,9 @@ std::vector<uint32_t> PromptReduceAllocator::Assign(
     const size_t last = std::min(order.size(), first + num_buckets);
     for (size_t i = first; i < last; ++i) {
       const uint32_t b = round[i - first];
-      assignment[order[i].index] = b;
-      used[b] += static_cast<double>(clusters[order[i].index].size);
+      const uint32_t c = non_split[order[i].index];
+      assignment[c] = b;
+      used[b] += static_cast<double>(clusters[c].size);
     }
   }
   return assignment;

@@ -1,8 +1,10 @@
 #include "core/sketch_accumulator.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/hash.h"
+#include "core/rank_order.h"
 #include "core/scatter.h"
 
 namespace prompt {
@@ -209,25 +211,19 @@ SketchBatchStats SketchAccumulator::ComputeStats() const {
   return stats;
 }
 
-std::vector<SketchAccumulator::SealEntry> SketchAccumulator::PlaceRuns() {
-  std::vector<SealEntry> entries;
-  entries.reserve(states_.size());
+void SketchAccumulator::PlaceRuns() {
   uint64_t offset = 0;
   for (KeyState& ks : states_) {
     ks.cursor = offset;
-    entries.push_back(SealEntry{ks.rank_base + ks.freq_updated,
-                                SortedKeyRun{ks.key, ks.freq_current, offset}});
     offset += ks.freq_current;
   }
   for (TailBucket& bucket : tail_buckets_) {
     bucket.offset = offset;
     offset += bucket.tuples;
   }
-  return entries;
 }
 
-AccumulatedBatch SketchAccumulator::MakeBatch(
-    const std::vector<SealEntry>& ordered) {
+AccumulatedBatch SketchAccumulator::MakeBatch(std::vector<SortedKeyRun> keys) {
   const size_t num_buckets = tail_buckets_.size();
   std::vector<uint64_t> bucket_cursor(num_buckets);
   for (size_t b = 0; b < num_buckets; ++b) {
@@ -241,9 +237,6 @@ AccumulatedBatch SketchAccumulator::MakeBatch(
                                   : states_[slot - num_buckets].cursor;
       },
       sealed_.data());
-  std::vector<SortedKeyRun> keys;
-  keys.reserve(ordered.size());
-  for (const SealEntry& e : ordered) keys.push_back(e.run);
   return AccumulatedBatch(sealed_, std::move(keys), tail_buckets_,
                           ComputeStats());
 }
@@ -251,28 +244,48 @@ AccumulatedBatch SketchAccumulator::MakeBatch(
 AccumulatedBatch SketchAccumulator::Seal() {
   // Rank promoted keys by their best full-batch frequency estimate
   // (rank_base folds in pre-promotion occurrences) while counts stay exact.
-  // Deterministic: (rank desc, key desc) total order.
-  std::vector<SealEntry> entries = PlaceRuns();
-  std::sort(entries.begin(), entries.end(),
-            [](const SealEntry& a, const SealEntry& b) {
-              return a.rank != b.rank ? a.rank > b.rank
-                                      : a.run.key > b.run.key;
-            });
-  return MakeBatch(entries);
+  // Deterministic: (rank desc, key desc) total order. A rank_base can put a
+  // rank above the counting bound; those few keys are comparison-sorted.
+  // At most sketch-capacity keys are promoted, so the order's buffers are
+  // not kept across batches.
+  PlaceRuns();
+  RankOrderScratch scratch;
+  const std::span<const RankedItem> order = OrderByRank(
+      static_cast<uint32_t>(states_.size()),
+      [this](uint32_t i) {
+        return states_[i].rank_base + states_[i].freq_updated;
+      },
+      [this](uint32_t i) { return states_[i].key; }, KeyTies::kDescending,
+      &scratch);
+  std::vector<SortedKeyRun> keys;
+  keys.reserve(order.size());
+  for (const RankedItem& item : order) {
+    keys.push_back(RunOf(states_[item.index]));
+  }
+  return MakeBatch(std::move(keys));
 }
 
 AccumulatedBatch SketchAccumulator::SealWithPostSort() {
   // Exact sort by rank_base + the final count, smaller key first on ties.
-  std::vector<SealEntry> entries = PlaceRuns();
-  for (size_t i = 0; i < entries.size(); ++i) {
-    entries[i].rank = states_[i].rank_base + states_[i].freq_current;
+  struct Ranked {
+    uint64_t rank;
+    SortedKeyRun run;
+  };
+  PlaceRuns();
+  std::vector<Ranked> entries;
+  entries.reserve(states_.size());
+  for (const KeyState& ks : states_) {
+    entries.push_back(Ranked{ks.rank_base + ks.freq_current, RunOf(ks)});
   }
   std::sort(entries.begin(), entries.end(),
-            [](const SealEntry& a, const SealEntry& b) {
+            [](const Ranked& a, const Ranked& b) {
               return a.rank != b.rank ? a.rank > b.rank
                                       : a.run.key < b.run.key;
             });
-  return MakeBatch(entries);
+  std::vector<SortedKeyRun> keys;
+  keys.reserve(entries.size());
+  for (const Ranked& e : entries) keys.push_back(e.run);
+  return MakeBatch(std::move(keys));
 }
 
 }  // namespace prompt

@@ -102,21 +102,18 @@ class SketchAccumulator final : public Accumulator {
     uint64_t cursor = 0;
   };
 
-  /// A promoted key queued for seal ordering: rank + run payload.
-  struct SealEntry {
-    uint64_t rank = 0;
-    SortedKeyRun run;
-  };
-
   void RankUpdate(KeyState& ks, TimeMicros now);
   /// Gives `key` exact state; returns its tuple slot.
   uint32_t Promote(KeyId key, uint64_t estimate, TimeMicros now);
   /// Lays out the promoted keys' runs in promotion order, then the tail
-  /// buckets; returns one entry per promoted key, in states_ order, ranked
-  /// by rank_base + freq_updated.
-  std::vector<SealEntry> PlaceRuns();
-  /// Scatters the tuple log into the placed ranges and orders the runs.
-  AccumulatedBatch MakeBatch(const std::vector<SealEntry>& ordered);
+  /// buckets, and points every scatter cursor at its range's start.
+  void PlaceRuns();
+  /// The key's placed run; read it before the scatter advances the cursor.
+  static SortedKeyRun RunOf(const KeyState& ks) {
+    return SortedKeyRun{ks.key, ks.freq_current, ks.cursor};
+  }
+  /// Scatters the tuple log into the placed ranges; `keys` is the run order.
+  AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys);
 
   AccumulatorOptions options_;
   std::unique_ptr<SpaceSaving> sketch_;

@@ -36,8 +36,11 @@ struct PartitionedBatch {
   std::vector<DataBlock> blocks;
 
   /// Marks keys appearing in more than one block as split, completing each
-  /// block's reference table. Returns the number of split keys.
-  uint64_t ComputeSplitFlags() {
+  /// block's reference table. Returns the number of split keys and, when
+  /// `fragment_keys` is given, stores the number of distinct keys with a
+  /// fragment row (every key of the batch once each block's table is
+  /// complete, as after DataBlock::Finalize()).
+  uint64_t ComputeSplitFlags(uint64_t* fragment_keys = nullptr) {
     // Sized by the fragments the table will hold: in sketch mode num_keys
     // is the HLL estimate of every distinct key, most of which have no
     // fragment row.
@@ -59,6 +62,7 @@ struct PartitionedBatch {
     appearances.ForEach([&split](KeyId, uint32_t n) {
       if (n > 1) ++split;
     });
+    if (fragment_keys != nullptr) *fragment_keys = appearances.size();
     return split;
   }
 };

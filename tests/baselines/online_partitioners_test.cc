@@ -157,6 +157,31 @@ TEST(OnlinePartitionersTest, AllConserveTuples) {
   }
 }
 
+TEST(OnlinePartitionersTest, NumKeysEqualsADistinctRecountOfTheBlocks) {
+  // num_keys is taken from the seal's split-flag table; recount it from the
+  // blocks' tuples, for a skewed batch and an empty one.
+  TimeBasedPartitioner time_based;
+  ShufflePartitioner shuffle;
+  HashPartitioner hash;
+  KeySplitPartitioner pk2(2);
+  KeySplitPartitioner pk5(5);
+  CamPartitioner cam(4);
+  const std::vector<Tuple> skewed = ZipfTuples(12000, 900, 1.2, kStart, kEnd);
+  const std::vector<Tuple> empty;
+  for (BatchPartitioner* p : std::initializer_list<BatchPartitioner*>{
+           &time_based, &shuffle, &hash, &pk2, &pk5, &cam}) {
+    for (const std::vector<Tuple>* tuples : {&skewed, &empty}) {
+      auto batch = RunBatch(*p, *tuples, 8, kStart, kEnd);
+      std::set<KeyId> distinct;
+      for (const auto& block : batch.blocks) {
+        for (const Tuple& t : block.tuples()) distinct.insert(t.key);
+      }
+      EXPECT_EQ(batch.num_keys, distinct.size())
+          << p->name() << ", " << tuples->size() << " tuples";
+    }
+  }
+}
+
 TEST(OnlinePartitionersTest, BeginResetsState) {
   ShufflePartitioner partitioner;
   auto tuples = ZipfTuples(1000, 10, 1.0, kStart, kEnd);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "stats/metrics.h"
 #include "testing/test_helpers.h"
@@ -210,6 +211,50 @@ INSTANTIATE_TEST_SUITE_P(
                       PlanSweepParam{500, 1, 4, 1.0},
                       PlanSweepParam{10000, 100, 1, 1.5},
                       PlanSweepParam{30000, 30000, 8, 1.2}));
+
+// The plan's statistics are counted from the placements alone; they must
+// equal what the materialized blocks hold: one fragment row per (key,
+// block), and a split row for exactly the keys in two or more blocks. Exact
+// batches only: in sketch mode MaterializePlan also writes rows for the
+// tail-resident tuples of promoted keys, which the plan does not count.
+TEST(PromptPlanTest, StatisticsMatchTheMaterializedBlocks) {
+  struct Shape {
+    const char* name;
+    std::vector<Tuple> tuples;
+  };
+  std::vector<Shape> shapes;
+  shapes.push_back({"empty", {}});
+  {
+    std::vector<Tuple> single;
+    for (int i = 0; i < 3000; ++i) single.push_back(Tuple{kStart + i, 9, 1.0});
+    shapes.push_back({"single_key", std::move(single)});
+  }
+  shapes.push_back({"uniform", ZipfTuples(30000, 3000, 0.0, kStart, kEnd, 21)});
+  shapes.push_back({"zipf_0.5", ZipfTuples(30000, 3000, 0.5, kStart, kEnd, 22)});
+  shapes.push_back({"zipf_1.0", ZipfTuples(30000, 3000, 1.0, kStart, kEnd, 23)});
+  shapes.push_back({"zipf_1.4", ZipfTuples(30000, 3000, 1.4, kStart, kEnd, 24)});
+  for (const Shape& shape : shapes) {
+    for (const uint32_t p : {1u, 2u, 4u, 8u, 16u}) {
+      auto acc = MakeAccumulator(AccumulatorKind::kFlat);
+      auto sealed = Accumulate(*acc, shape.tuples, kStart, kEnd);
+      const PartitionPlan plan = BuildPromptPlan(sealed, p);
+      const PartitionedBatch batch = MaterializePlan(sealed, plan, p);
+      uint64_t rows = 0;
+      std::set<KeyId> split;
+      for (const DataBlock& block : batch.blocks) {
+        rows += block.fragments().size();
+        for (const KeyFragment& f : block.fragments()) {
+          if (f.split) split.insert(f.key);
+        }
+      }
+      EXPECT_EQ(plan.fragments, rows) << shape.name << ", p=" << p;
+      EXPECT_EQ(plan.split_keys, split.size()) << shape.name << ", p=" << p;
+      if (p == 1) {
+        EXPECT_EQ(plan.split_keys, 0u) << shape.name;
+      }
+    }
+  }
+}
 
 TEST(PromptPartitionerTest, FullPipelineProducesBalancedBatch) {
   PromptPartitioner partitioner;
