@@ -235,3 +235,25 @@ grep -q 'journals identical' "${LOG_DIR}/replay-smoke-diff.log" || {
   exit 1
 }
 echo "replay smoke: record -> replay -> diff bit-identical"
+
+# Sketch-mode ingest (DESIGN.md §17) replays the same way: the run above with
+# a bounded key state, and two tenants over one sketch pipeline. Each must
+# replay 12 published batches bit-identically (6 per tenant for the two).
+sketch_replay_smoke() {  # <name> <promptctl args...>
+  local dir="${LOG_DIR}/replay-smoke-$1-journal"
+  shift
+  rm -rf "${dir}" "${dir}.replay"
+  "${BUILD_DIR}/tools/promptctl" "$@" --key_mode=sketch --sketch_capacity=512 \
+    --record="${dir}" 2>&1 | tee "${dir}-record.log"
+  "${BUILD_DIR}/tools/promptctl" --replay="${dir}" \
+    2>&1 | tee "${dir}-replay.log"
+  grep -q 'journals identical over 12 published batches' "${dir}-replay.log" || {
+    echo "replay smoke: sketch run ${dir} did not replay bit-identically" >&2
+    exit 1
+  }
+}
+sketch_replay_smoke sketch --dataset=SynD --technique=Prompt --rate=4000 \
+  --batches=12 --ingest_shards=2 --zipf=1.0 --adaptive
+sketch_replay_smoke sketch-tenants --queries=examples/two_tenants.query \
+  --batches=6
+echo "replay smoke: sketch-mode single- and two-tenant runs bit-identical"

@@ -7,137 +7,11 @@
 
 #include "baselines/factory.h"
 #include "common/logging.h"
+#include "engine/manifest.h"
 #include "engine/serde.h"
 #include "fault/recovery.h"
 
 namespace prompt {
-
-namespace {
-
-/// The flight-recorder manifest: every option that shapes the run's
-/// deterministic outcome, serialized key=value. The replayer's
-/// SingleOptionsFromManifest (src/replay/replayer.cc) parses exactly these
-/// keys back; ReplayResult::manifest_match catches any drift between the
-/// two. Directory paths and journal settings are deliberately absent — a
-/// journal must replay from any location.
-JournalManifest BuildSingleManifest(const EngineOptions& o, const JobSpec& job,
-                                    int32_t technique) {
-  JournalManifest m;
-  m.Set("format", "prompt-journal-v1");
-  m.Set("mode", "single");
-  m.Set("batch_interval", static_cast<int64_t>(o.batch_interval));
-  m.Set("window_batches", static_cast<uint64_t>(job.window_batches));
-  if (!o.journal.query.empty()) m.Set("query", o.journal.query);
-  m.Set("technique",
-        technique >= 0
-            ? PartitionerTypeName(static_cast<PartitionerType>(technique))
-            : "custom");
-  m.Set("exec_mode",
-        o.mode == ExecutionMode::kReal ? "real" : "simulated");
-  m.Set("map_tasks", static_cast<uint64_t>(o.map_tasks));
-  m.Set("reduce_tasks", static_cast<uint64_t>(o.reduce_tasks));
-  m.Set("cores", static_cast<uint64_t>(o.cores));
-  m.Set("cores_track_tasks", o.cores_track_tasks);
-  m.Set("early_release_frac", o.early_release_frac);
-  m.Set("use_prompt_reduce", o.use_prompt_reduce);
-  m.Set("unstable_queue_intervals", o.unstable_queue_intervals);
-  m.Set("cost.map_task_fixed_us", o.cost.map_task_fixed_us);
-  m.Set("cost.map_per_tuple_us", o.cost.map_per_tuple_us);
-  m.Set("cost.map_per_key_us", o.cost.map_per_key_us);
-  m.Set("cost.reduce_task_fixed_us", o.cost.reduce_task_fixed_us);
-  m.Set("cost.reduce_per_tuple_us", o.cost.reduce_per_tuple_us);
-  m.Set("cost.reduce_per_cluster_us", o.cost.reduce_per_cluster_us);
-  m.Set("cost.partition_cost_scale", o.cost.partition_cost_scale);
-  m.Set("cost.replicate_per_kib_us", o.cost.replicate_per_kib_us);
-  m.Set("elasticity_enabled", o.elasticity_enabled);
-  m.Set("elasticity.threshold", o.elasticity.threshold);
-  m.Set("elasticity.step", o.elasticity.step);
-  m.Set("elasticity.d", static_cast<int64_t>(o.elasticity.d));
-  m.Set("elasticity.min_map_tasks",
-        static_cast<uint64_t>(o.elasticity.min_map_tasks));
-  m.Set("elasticity.min_reduce_tasks",
-        static_cast<uint64_t>(o.elasticity.min_reduce_tasks));
-  m.Set("elasticity.max_map_tasks",
-        static_cast<uint64_t>(o.elasticity.max_map_tasks));
-  m.Set("elasticity.max_reduce_tasks",
-        static_cast<uint64_t>(o.elasticity.max_reduce_tasks));
-  m.Set("elasticity.trend_lookback",
-        static_cast<int64_t>(o.elasticity.trend_lookback));
-  m.Set("adapt.enabled", o.adapt.enabled);
-  m.Set("adapt.d", static_cast<int64_t>(o.adapt.d));
-  m.Set("adapt.grace", static_cast<int64_t>(o.adapt.grace));
-  m.Set("adapt.window", static_cast<uint64_t>(o.adapt.window));
-  m.Set("adapt.calm_block_load_ratio", o.adapt.calm_block_load_ratio);
-  m.Set("adapt.calm_split_key_frac", o.adapt.calm_split_key_frac);
-  {
-    std::string csv;
-    for (PartitionerType t : o.adapt.candidates) {
-      if (!csv.empty()) csv += ',';
-      csv += PartitionerTypeName(t);
-    }
-    m.Set("adapt.candidates", csv);
-  }
-  m.Set("partitioner.accumulator",
-        AccumulatorKindName(o.adapt.config.prompt.accumulator_kind));
-  m.Set("partitioner.post_sort", o.adapt.config.prompt.post_sort);
-  m.Set("partitioner.cam_candidates",
-        static_cast<uint64_t>(o.adapt.config.cam_candidates));
-  m.Set("partitioner.sketch_capacity",
-        static_cast<uint64_t>(o.adapt.config.sketch_capacity));
-  m.Set("obs.collect_partition_metrics", o.obs.collect_partition_metrics);
-  m.Set("obs.autopsy.min_excess_frac", o.obs.autopsy.min_excess_frac);
-  m.Set("obs.autopsy.min_excess_us",
-        static_cast<int64_t>(o.obs.autopsy.min_excess_us));
-  m.Set("obs.autopsy.ring_pressure_threshold",
-        o.obs.autopsy.ring_pressure_threshold);
-  if (o.faults.enabled()) {
-    m.Set("faults", FormatFaultSchedule(o.faults));
-    // Policy knobs the spec grammar cannot express.
-    m.Set("faults.max_task_retries",
-          static_cast<uint64_t>(o.faults.max_task_retries));
-    m.Set("faults.retry_backoff", static_cast<int64_t>(o.faults.retry_backoff));
-    m.Set("faults.speculation_enabled", o.faults.speculation_enabled);
-    m.Set("faults.speculation_multiplier", o.faults.speculation_multiplier);
-  }
-  m.Set("replicate_input", o.replicate_input);
-  m.Set("cluster_enabled", o.cluster_enabled);
-  m.Set("cluster.nodes", static_cast<uint64_t>(o.cluster.nodes));
-  m.Set("cluster.cores_per_node",
-        static_cast<uint64_t>(o.cluster.cores_per_node));
-  m.Set("cluster.replication_factor",
-        static_cast<uint64_t>(o.cluster.replication_factor));
-  m.Set("cluster.remote_read_penalty", o.cluster.remote_read_penalty);
-  m.Set("store.enabled", o.store.enabled());
-  m.Set("store.fsync", FsyncPolicyName(o.store.fsync));
-  m.Set("store.memory_budget_bytes",
-        static_cast<uint64_t>(o.store.memory_budget_bytes));
-  m.Set("store.retain_bytes", static_cast<uint64_t>(o.store.retain_bytes));
-  m.Set("store.retain_batches", o.store.retain_batches);
-  m.Set("batch_resizing_enabled", o.batch_resizing_enabled);
-  m.Set("resizer.min_interval",
-        static_cast<int64_t>(o.batch_resizer.min_interval));
-  m.Set("resizer.max_interval",
-        static_cast<int64_t>(o.batch_resizer.max_interval));
-  m.Set("resizer.target_ratio", o.batch_resizer.target_ratio);
-  m.Set("resizer.lookback", static_cast<int64_t>(o.batch_resizer.lookback));
-  m.Set("resizer.gain", o.batch_resizer.gain);
-  m.Set("ingest.shards", static_cast<uint64_t>(o.ingest.shards));
-  m.Set("ingest.ring_capacity",
-        static_cast<uint64_t>(o.ingest.ring_capacity));
-  m.Set("ingest.accumulator", AccumulatorKindName(o.ingest.accumulator));
-  m.Set("ingest.key_mode", KeyModeName(o.ingest.key_mode));
-  if (o.ingest.key_mode == KeyMode::kSketch) {
-    m.Set("ingest.sketch_capacity",
-          static_cast<uint64_t>(
-              o.ingest.accumulator_options.sketch.capacity));
-    m.Set("ingest.tail_buckets",
-          static_cast<uint64_t>(
-              o.ingest.accumulator_options.sketch.tail_buckets));
-  }
-  return m;
-}
-
-}  // namespace
 
 double RunSummary::MeanW(size_t warmup) const {
   if (batches.size() <= warmup) return 0;
@@ -249,9 +123,11 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
     ingest_->BindMetrics(obs_->registry());
   }
   if (options_.journal.enabled()) {
+    const int32_t type = query_->current_technique;
+    std::optional<PartitionerType> technique;
+    if (type >= 0) technique = static_cast<PartitionerType>(type);
     auto journal = JournalWriter::Open(
-        options_.journal,
-        BuildSingleManifest(options_, job_, query_->current_technique));
+        options_.journal, WriteSingleManifest({options_, job_, technique}));
     if (journal.ok()) {
       journal_ = std::move(journal).ValueUnsafe();
     } else {

@@ -324,76 +324,16 @@ Status DecodeEnv(const std::string& payload, uint64_t batch_id,
 
 // ---- JournalManifest ----
 
-void JournalManifest::Set(const std::string& key, const std::string& value) {
-  entries_.emplace_back(key, value);
-}
-void JournalManifest::Set(const std::string& key, const char* value) {
-  entries_.emplace_back(key, value);
-}
-void JournalManifest::Set(const std::string& key, uint64_t value) {
-  Set(key, std::to_string(value));
-}
-void JournalManifest::Set(const std::string& key, int64_t value) {
-  Set(key, std::to_string(value));
-}
-void JournalManifest::Set(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  Set(key, std::string(buf));
-}
-void JournalManifest::Set(const std::string& key, bool value) {
-  Set(key, std::string(value ? "1" : "0"));
-}
-
-const std::string* JournalManifest::Find(const std::string& key) const {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return &v;
-  }
-  return nullptr;
+void JournalManifest::Set(std::string key, std::string value) {
+  entries_.emplace_back(std::move(key), std::move(value));
 }
 
 std::string JournalManifest::Get(const std::string& key,
                                  const std::string& fallback) const {
-  const std::string* v = Find(key);
-  return v != nullptr ? *v : fallback;
-}
-
-uint64_t JournalManifest::GetUint(const std::string& key,
-                                  uint64_t fallback) const {
-  const std::string* v = Find(key);
-  if (v == nullptr) return fallback;
-  try {
-    return std::stoull(*v);
-  } catch (...) {
-    return fallback;
+  for (const auto& [k, v] : entries_) {
+    if (k == key) return v;
   }
-}
-
-int64_t JournalManifest::GetInt(const std::string& key, int64_t fallback) const {
-  const std::string* v = Find(key);
-  if (v == nullptr) return fallback;
-  try {
-    return std::stoll(*v);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-double JournalManifest::GetDouble(const std::string& key,
-                                  double fallback) const {
-  const std::string* v = Find(key);
-  if (v == nullptr) return fallback;
-  try {
-    return std::stod(*v);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-bool JournalManifest::GetBool(const std::string& key, bool fallback) const {
-  const std::string* v = Find(key);
-  if (v == nullptr) return fallback;
-  return *v == "1" || *v == "true";
+  return fallback;
 }
 
 std::vector<std::string> JournalManifest::GetAll(const std::string& key) const {

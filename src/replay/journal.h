@@ -112,28 +112,14 @@ struct JournalOptions {
   bool enabled() const { return !dir.empty(); }
 };
 
-/// \brief Ordered key=value run configuration, written once as the first
-/// record of a fresh journal. Order-preserving so record and replay produce
-/// byte-identical manifests.
+/// \brief Ordered key=value run configuration, written once per engine
+/// lifetime ahead of its run-start marker; the engines' field lists
+/// (engine/manifest.h) write and strictly read the text values.
 class JournalManifest {
  public:
-  void Set(const std::string& key, const std::string& value);
-  /// Without this overload a string literal would convert to bool (a
-  /// standard conversion outranks constructing std::string) and every
-  /// literal-valued key would journal as "0"/"1".
-  void Set(const std::string& key, const char* value);
-  void Set(const std::string& key, uint64_t value);
-  void Set(const std::string& key, int64_t value);
-  void Set(const std::string& key, double value);
-  void Set(const std::string& key, bool value);
+  void Set(std::string key, std::string value);
 
-  /// nullptr when absent.
-  const std::string* Find(const std::string& key) const;
   std::string Get(const std::string& key, const std::string& fallback) const;
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const;
-  int64_t GetInt(const std::string& key, int64_t fallback) const;
-  double GetDouble(const std::string& key, double fallback) const;
-  bool GetBool(const std::string& key, bool fallback) const;
 
   /// All pairs whose key equals `key`, in insertion order (tenant specs).
   std::vector<std::string> GetAll(const std::string& key) const;

@@ -1,20 +1,16 @@
 #include "replay/replayer.h"
 
 #include <filesystem>
+#include <functional>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/factory.h"
-#include "core/accumulator_api.h"
 #include "engine/engine.h"
-#include "fault/fault_injector.h"
-#include "model/job.h"
-#include "query/multi_query.h"
+#include "engine/manifest.h"
 #include "query/parser.h"
-#include "store/block_store.h"
 #include "tenant/multi_tenant_engine.h"
 
 namespace prompt {
@@ -22,277 +18,26 @@ namespace {
 
 namespace fs = std::filesystem;
 
-Result<AccumulatorKind> AccumulatorKindFromName(const std::string& name) {
-  if (name == "flat") return AccumulatorKind::kFlat;
-  if (name == "legacy") return AccumulatorKind::kLegacyChain;
-  return Status::Invalid("replay: unknown accumulator kind '" + name + "'");
-}
-
-Result<std::vector<PartitionerType>> CandidatesFromCsv(const std::string& csv) {
-  std::vector<PartitionerType> out;
-  std::stringstream ss(csv);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    PROMPT_ASSIGN_OR_RETURN(PartitionerType t, PartitionerTypeFromName(item));
-    out.push_back(t);
-  }
-  if (out.empty()) {
-    return Status::Invalid("replay: empty adapt.candidates list");
-  }
-  return out;
-}
-
-CostModelParams CostFromManifest(const JournalManifest& m) {
-  CostModelParams c;
-  c.map_task_fixed_us = m.GetDouble("cost.map_task_fixed_us", c.map_task_fixed_us);
-  c.map_per_tuple_us = m.GetDouble("cost.map_per_tuple_us", c.map_per_tuple_us);
-  c.map_per_key_us = m.GetDouble("cost.map_per_key_us", c.map_per_key_us);
-  c.reduce_task_fixed_us =
-      m.GetDouble("cost.reduce_task_fixed_us", c.reduce_task_fixed_us);
-  c.reduce_per_tuple_us =
-      m.GetDouble("cost.reduce_per_tuple_us", c.reduce_per_tuple_us);
-  c.reduce_per_cluster_us =
-      m.GetDouble("cost.reduce_per_cluster_us", c.reduce_per_cluster_us);
-  c.partition_cost_scale =
-      m.GetDouble("cost.partition_cost_scale", c.partition_cost_scale);
-  c.replicate_per_kib_us =
-      m.GetDouble("cost.replicate_per_kib_us", c.replicate_per_kib_us);
-  return c;
-}
-
-Result<PartitionerConfig> PartitionerConfigFromManifest(
-    const JournalManifest& m) {
-  PartitionerConfig config;
-  PROMPT_ASSIGN_OR_RETURN(
-      config.prompt.accumulator_kind,
-      AccumulatorKindFromName(m.Get("partitioner.accumulator", "flat")));
-  config.prompt.post_sort = m.GetBool("partitioner.post_sort", false);
-  config.cam_candidates = static_cast<uint32_t>(
-      m.GetUint("partitioner.cam_candidates", config.cam_candidates));
-  config.sketch_capacity = static_cast<size_t>(
-      m.GetUint("partitioner.sketch_capacity", config.sketch_capacity));
-  return config;
-}
-
-Status IngestFromManifest(const JournalManifest& m, IngestOptions* ingest) {
-  ingest->shards = static_cast<uint32_t>(m.GetUint("ingest.shards", 1));
-  ingest->ring_capacity =
-      static_cast<size_t>(m.GetUint("ingest.ring_capacity", 16 * 1024));
-  PROMPT_ASSIGN_OR_RETURN(
-      ingest->accumulator,
-      AccumulatorKindFromName(m.Get("ingest.accumulator", "flat")));
-  return Status::OK();
-}
-
-Status ObsFromManifest(const JournalManifest& m, ObservabilityOptions* obs) {
-  obs->collect_partition_metrics =
-      m.GetBool("obs.collect_partition_metrics", false);
-  obs->autopsy.min_excess_frac =
-      m.GetDouble("obs.autopsy.min_excess_frac", obs->autopsy.min_excess_frac);
-  obs->autopsy.min_excess_us = static_cast<TimeMicros>(
-      m.GetInt("obs.autopsy.min_excess_us", obs->autopsy.min_excess_us));
-  obs->autopsy.ring_pressure_threshold = m.GetDouble(
-      "obs.autopsy.ring_pressure_threshold",
-      obs->autopsy.ring_pressure_threshold);
-  return Status::OK();
-}
-
-Status StoreFromManifest(const JournalManifest& m, const std::string& dir,
-                         StoreOptions* store) {
-  // Non-dir knobs parse even for store-less runs so the re-recorded
-  // manifest round-trips byte-identically; the dir (and with it the store)
-  // is only set when the recorded run actually had one.
-  if (m.GetBool("store.enabled", false)) store->dir = dir;
-  PROMPT_ASSIGN_OR_RETURN(
-      store->fsync, ParseFsyncPolicy(m.Get("store.fsync", "batch")));
-  store->memory_budget_bytes =
-      static_cast<size_t>(m.GetUint("store.memory_budget_bytes", 0));
-  store->retain_bytes = static_cast<size_t>(m.GetUint("store.retain_bytes", 0));
-  store->retain_batches = m.GetUint("store.retain_batches", 0);
-  return Status::OK();
-}
-
-Status FaultsFromManifest(const JournalManifest& m, FaultOptions* faults) {
-  const std::string* spec = m.Find("faults");
-  if (spec == nullptr) return Status::OK();
-  PROMPT_ASSIGN_OR_RETURN(*faults, ParseFaultSchedule(*spec));
-  faults->max_task_retries = static_cast<uint32_t>(
-      m.GetUint("faults.max_task_retries", faults->max_task_retries));
-  faults->retry_backoff = static_cast<TimeMicros>(
-      m.GetInt("faults.retry_backoff", faults->retry_backoff));
-  faults->speculation_enabled =
-      m.GetBool("faults.speculation_enabled", faults->speculation_enabled);
-  faults->speculation_multiplier = m.GetDouble(
-      "faults.speculation_multiplier", faults->speculation_multiplier);
-  return Status::OK();
-}
-
-/// Rebuilds the single-tenant EngineOptions the recorded run was constructed
-/// with. Every key here mirrors one Set() in the engine's manifest builder;
-/// the ReplayResult::manifest_match check catches any drift between the two.
-Result<EngineOptions> SingleOptionsFromManifest(const JournalManifest& m,
-                                                const std::string& store_dir) {
-  EngineOptions o;
-  o.batch_interval = m.GetInt("batch_interval", o.batch_interval);
-  o.map_tasks = static_cast<uint32_t>(m.GetUint("map_tasks", o.map_tasks));
-  o.reduce_tasks =
-      static_cast<uint32_t>(m.GetUint("reduce_tasks", o.reduce_tasks));
-  o.cores = static_cast<uint32_t>(m.GetUint("cores", o.cores));
-  o.cores_track_tasks = m.GetBool("cores_track_tasks", o.cores_track_tasks);
-  o.early_release_frac = m.GetDouble("early_release_frac", o.early_release_frac);
-  o.cost = CostFromManifest(m);
-  o.mode = m.Get("exec_mode", "simulated") == "real" ? ExecutionMode::kReal
-                                                     : ExecutionMode::kSimulated;
-  o.use_prompt_reduce = m.GetBool("use_prompt_reduce", o.use_prompt_reduce);
-  o.unstable_queue_intervals =
-      m.GetDouble("unstable_queue_intervals", o.unstable_queue_intervals);
-
-  o.elasticity_enabled = m.GetBool("elasticity_enabled", false);
-  ElasticityOptions& e = o.elasticity;
-  e.threshold = m.GetDouble("elasticity.threshold", e.threshold);
-  e.step = m.GetDouble("elasticity.step", e.step);
-  e.d = static_cast<int>(m.GetInt("elasticity.d", e.d));
-  e.min_map_tasks =
-      static_cast<uint32_t>(m.GetUint("elasticity.min_map_tasks", e.min_map_tasks));
-  e.min_reduce_tasks = static_cast<uint32_t>(
-      m.GetUint("elasticity.min_reduce_tasks", e.min_reduce_tasks));
-  e.max_map_tasks =
-      static_cast<uint32_t>(m.GetUint("elasticity.max_map_tasks", e.max_map_tasks));
-  e.max_reduce_tasks = static_cast<uint32_t>(
-      m.GetUint("elasticity.max_reduce_tasks", e.max_reduce_tasks));
-  e.trend_lookback =
-      static_cast<int>(m.GetInt("elasticity.trend_lookback", e.trend_lookback));
-
-  AdaptiveOptions& a = o.adapt;
-  a.enabled = m.GetBool("adapt.enabled", false);
-  a.d = static_cast<int>(m.GetInt("adapt.d", a.d));
-  a.grace = static_cast<int>(m.GetInt("adapt.grace", a.grace));
-  a.window = static_cast<uint32_t>(m.GetUint("adapt.window", a.window));
-  a.calm_block_load_ratio =
-      m.GetDouble("adapt.calm_block_load_ratio", a.calm_block_load_ratio);
-  a.calm_split_key_frac =
-      m.GetDouble("adapt.calm_split_key_frac", a.calm_split_key_frac);
-  if (const std::string* csv = m.Find("adapt.candidates")) {
-    PROMPT_ASSIGN_OR_RETURN(a.candidates, CandidatesFromCsv(*csv));
-  }
-  PROMPT_ASSIGN_OR_RETURN(a.config, PartitionerConfigFromManifest(m));
-
-  PROMPT_RETURN_NOT_OK(ObsFromManifest(m, &o.obs));
-  PROMPT_RETURN_NOT_OK(FaultsFromManifest(m, &o.faults));
-
-  o.replicate_input = m.GetBool("replicate_input", o.replicate_input);
-  o.cluster_enabled = m.GetBool("cluster_enabled", o.cluster_enabled);
-  ClusterOptions& cl = o.cluster;
-  cl.nodes = static_cast<uint32_t>(m.GetUint("cluster.nodes", cl.nodes));
-  cl.cores_per_node =
-      static_cast<uint32_t>(m.GetUint("cluster.cores_per_node", cl.cores_per_node));
-  cl.replication_factor = static_cast<uint32_t>(
-      m.GetUint("cluster.replication_factor", cl.replication_factor));
-  cl.remote_read_penalty =
-      m.GetDouble("cluster.remote_read_penalty", cl.remote_read_penalty);
-
-  PROMPT_RETURN_NOT_OK(StoreFromManifest(m, store_dir, &o.store));
-
-  o.batch_resizing_enabled = m.GetBool("batch_resizing_enabled", false);
-  BatchResizerOptions& r = o.batch_resizer;
-  r.min_interval = m.GetInt("resizer.min_interval", r.min_interval);
-  r.max_interval = m.GetInt("resizer.max_interval", r.max_interval);
-  r.target_ratio = m.GetDouble("resizer.target_ratio", r.target_ratio);
-  r.lookback = static_cast<int>(m.GetInt("resizer.lookback", r.lookback));
-  r.gain = m.GetDouble("resizer.gain", r.gain);
-
-  PROMPT_RETURN_NOT_OK(IngestFromManifest(m, &o.ingest));
-  return o;
-}
-
-Result<JobSpec> JobFromManifest(const JournalManifest& m) {
-  const uint32_t window_batches =
-      static_cast<uint32_t>(m.GetUint("window_batches", 10));
-  if (const std::string* query = m.Find("query")) {
-    PROMPT_ASSIGN_OR_RETURN(CompiledQuery compiled, ParseQuery(*query));
-    JobSpec job = compiled.job;
-    job.window_batches = window_batches;
-    return job;
-  }
-  return JobSpec::WordCount(window_batches);
-}
-
-Result<MultiTenantEngineOptions> MultiOptionsFromManifest(
-    const JournalManifest& m, const std::string& store_dir) {
-  MultiTenantEngineOptions o;
-  o.batch_interval = m.GetInt("batch_interval", o.batch_interval);
-  o.total_slots = static_cast<uint32_t>(m.GetUint("total_slots", o.total_slots));
-  o.map_tasks = static_cast<uint32_t>(m.GetUint("map_tasks", o.map_tasks));
-  o.reduce_tasks =
-      static_cast<uint32_t>(m.GetUint("reduce_tasks", o.reduce_tasks));
-  o.cost = CostFromManifest(m);
-  o.mode = m.Get("exec_mode", "simulated") == "real" ? ExecutionMode::kReal
-                                                     : ExecutionMode::kSimulated;
-  o.use_prompt_reduce = m.GetBool("use_prompt_reduce", o.use_prompt_reduce);
-  o.early_release_frac = m.GetDouble("early_release_frac", o.early_release_frac);
-  o.unstable_queue_intervals =
-      m.GetDouble("unstable_queue_intervals", o.unstable_queue_intervals);
-
-  AdaptiveOptions& a = o.adapt_base;
-  if (const std::string* csv = m.Find("adapt.candidates")) {
-    PROMPT_ASSIGN_OR_RETURN(a.candidates, CandidatesFromCsv(*csv));
-  }
-  a.grace = static_cast<int>(m.GetInt("adapt.grace", a.grace));
-  a.window = static_cast<uint32_t>(m.GetUint("adapt.window", a.window));
-  a.calm_block_load_ratio =
-      m.GetDouble("adapt.calm_block_load_ratio", a.calm_block_load_ratio);
-  a.calm_split_key_frac =
-      m.GetDouble("adapt.calm_split_key_frac", a.calm_split_key_frac);
-  PROMPT_ASSIGN_OR_RETURN(a.config, PartitionerConfigFromManifest(m));
-
-  PROMPT_RETURN_NOT_OK(ObsFromManifest(m, &o.obs));
-  PROMPT_RETURN_NOT_OK(StoreFromManifest(m, store_dir, &o.store));
-  PROMPT_RETURN_NOT_OK(IngestFromManifest(m, &o.ingest));
-  return o;
-}
-
-Result<std::vector<TenantQuerySpec>> SpecsFromManifest(const JournalManifest& m) {
-  const std::vector<std::string> lines = m.GetAll("tenant");
-  if (lines.empty()) {
-    return Status::Invalid("replay: multi-tenant manifest has no tenant= lines");
-  }
-  std::string text;
-  for (const std::string& line : lines) {
-    text += line;
-    text += '\n';
-  }
-  return ParseQueryFile(text);
+Result<JobSpec> CompileJob(const std::string& query) {
+  PROMPT_ASSIGN_OR_RETURN(CompiledQuery compiled, ParseQuery(query));
+  return compiled.job;
 }
 
 /// One recorded engine lifetime replayed: fresh engine over the attempt's
 /// tuple stream, wall-clock inputs injected, re-recorded into the output
 /// journal. Crashed attempts drive one extra heartbeat — the batch whose
 /// crash fault (re-fired from the manifest schedule) ends the attempt.
-Result<uint64_t> ReplaySingleAttempt(const JournalManifest& manifest,
+Result<uint64_t> ReplaySingleAttempt(SingleRunManifest run,
                                      const JournalAttempt& attempt,
                                      const ReplayOptions& replay) {
-  PROMPT_ASSIGN_OR_RETURN(
-      EngineOptions options,
-      SingleOptionsFromManifest(manifest, replay.output_dir + "/store"));
-  PROMPT_ASSIGN_OR_RETURN(JobSpec job, JobFromManifest(manifest));
-
-  const std::string technique_name = manifest.Get("technique", "");
-  if (technique_name.empty() || technique_name == "custom") {
-    return Status::Invalid(
-        "replay: manifest technique '" + technique_name +
-        "' does not name a factory partitioner; the run is not replayable");
-  }
-  PROMPT_ASSIGN_OR_RETURN(PartitionerType technique,
-                          PartitionerTypeFromName(technique_name));
-
+  EngineOptions& options = run.options;
   options.journal.dir = replay.output_dir;
-  options.journal.query = manifest.Get("query", "");
   options.journal.inject = std::make_shared<const ReplayEnv>(attempt.envs);
 
   JournalTupleSource source(attempt.tuples);
-  MicroBatchEngine engine(options, job,
-                          CreatePartitioner(technique, options.adapt.config),
+  MicroBatchEngine engine(options, run.job,
+                          CreatePartitioner(*run.technique,
+                                            options.adapt.config),
                           &source);
   PROMPT_RETURN_NOT_OK(engine.init_status());
 
@@ -302,22 +47,16 @@ Result<uint64_t> ReplaySingleAttempt(const JournalManifest& manifest,
   return heartbeats;
 }
 
-Result<uint64_t> ReplayMultiAttempt(const JournalManifest& manifest,
+Result<uint64_t> ReplayMultiAttempt(MultiRunManifest run,
                                     const JournalAttempt& attempt,
                                     const ReplayOptions& replay) {
-  PROMPT_ASSIGN_OR_RETURN(
-      MultiTenantEngineOptions options,
-      MultiOptionsFromManifest(manifest, replay.output_dir + "/store"));
-  PROMPT_ASSIGN_OR_RETURN(std::vector<TenantQuerySpec> specs,
-                          SpecsFromManifest(manifest));
-
-  options.journal.dir = replay.output_dir;
-  options.journal.inject = std::make_shared<const ReplayEnv>(attempt.envs);
+  run.options.journal.dir = replay.output_dir;
+  run.options.journal.inject = std::make_shared<const ReplayEnv>(attempt.envs);
 
   JournalTupleSource source(attempt.tuples);
   PROMPT_ASSIGN_OR_RETURN(
       std::unique_ptr<MultiTenantEngine> engine,
-      MultiTenantEngine::Create(options, std::move(specs), &source));
+      MultiTenantEngine::Create(run.options, std::move(run.specs), &source));
 
   const uint64_t heartbeats = attempt.published_batches();
   engine->Run(static_cast<uint32_t>(heartbeats));
@@ -343,24 +82,42 @@ Result<ReplayResult> ReplayJournal(const ReplayOptions& options) {
   ReplayResult result;
   result.mode = recorded.manifest.Get("mode", "single");
   if (result.mode != "single" && result.mode != "multi") {
-    return Status::Invalid("replay: unknown manifest mode '" + result.mode +
-                           "'");
+    return Status::Invalid("replay: manifest key 'mode': unknown engine '" +
+                           result.mode + "'");
   }
 
+  // Replay each attempt under the manifest its own run journaled: a
+  // lineage's restarts may legitimately change options (run 1 schedules the
+  // crash fault, run 2 does not). Attempts synthesized from stray records
+  // fall back to the journal-level manifest. All are read before any engine
+  // is built, so a bad one leaves no half-written output journal.
+  const std::string store_dir = options.output_dir + "/store";
+  std::vector<std::function<Result<uint64_t>()>> runs;
   for (const JournalAttempt& attempt : recorded.attempts) {
-    ++result.attempts;
-    // Replay each attempt under the manifest its own run journaled: a
-    // lineage's restarts may legitimately change options (run 1 schedules
-    // the crash fault, run 2 does not). Attempts synthesized from stray
-    // records carry no manifest and fall back to the journal-level one.
     const JournalManifest& m = attempt.manifest.entries().empty()
                                    ? recorded.manifest
                                    : attempt.manifest;
-    Result<uint64_t> ran = result.mode == "single"
-                               ? ReplaySingleAttempt(m, attempt, options)
-                               : ReplayMultiAttempt(m, attempt, options);
-    PROMPT_RETURN_NOT_OK(ran.status());
-    result.batches += *ran;
+    if (result.mode == "multi") {
+      PROMPT_ASSIGN_OR_RETURN(MultiRunManifest run,
+                              ReadMultiManifest(m, store_dir));
+      runs.push_back([run, &attempt, &options] {
+        return ReplayMultiAttempt(run, attempt, options);
+      });
+      continue;
+    }
+    PROMPT_ASSIGN_OR_RETURN(SingleRunManifest run,
+                            ReadSingleManifest(m, store_dir, &CompileJob));
+    if (!run.technique) {
+      return Status::Invalid("replay: no partitioner recorded; not replayable");
+    }
+    runs.push_back([run, &attempt, &options] {
+      return ReplaySingleAttempt(run, attempt, options);
+    });
+  }
+  for (const auto& run : runs) {
+    ++result.attempts;
+    PROMPT_ASSIGN_OR_RETURN(const uint64_t batches, run());
+    result.batches += batches;
   }
 
   PROMPT_ASSIGN_OR_RETURN(JournalData replayed,
@@ -378,7 +135,7 @@ Result<ReplayResult> ReplayJournal(const ReplayOptions& options) {
     result.diff.identical = false;
     result.diff.notes.push_back(
         "replayed manifest does not round-trip byte-identically "
-        "(recorder/replayer schema drift)");
+        "(the manifest predates the current schema)");
   }
   return result;
 }

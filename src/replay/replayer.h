@@ -37,8 +37,8 @@ struct ReplayResult {
   /// Heartbeats driven across all attempts (crashed batches included).
   uint64_t batches = 0;
   /// The original manifest serialized byte-identically from the
-  /// reconstructed options — false means a manifest key failed to
-  /// round-trip (a recorder/replayer schema bug, reported loudly).
+  /// reconstructed options — false for a manifest an older build wrote
+  /// with other keys or another key order, reported loudly.
   bool manifest_match = false;
   /// Recorded vs replayed journal, compared outcome by outcome.
   JournalDiff diff;

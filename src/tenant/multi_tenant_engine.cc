@@ -5,10 +5,26 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "engine/manifest.h"
 #include "engine/serde.h"
 #include "stats/metrics.h"
 
 namespace prompt {
+
+std::string FormatValue(const TenantQuerySpec& spec) {
+  return TenantSpecLine(spec);
+}
+
+/// Tenant lines parse as one query file, so cross-tenant checks (one shared
+/// SLIDE) hold exactly as they did for the recorded run.
+Status ParseLines(const std::vector<std::string>& lines,
+                  std::vector<TenantQuerySpec>* specs) {
+  std::string text;
+  for (const std::string& line : lines) text += line + '\n';
+  PROMPT_ASSIGN_OR_RETURN(*specs, ParseQueryFile(text));
+  if (specs->size() == lines.size()) return Status::OK();
+  return Status::Invalid("a tenant line holds no tenant");
+}
 
 namespace {
 
@@ -36,72 +52,48 @@ QueryContextOptions ContextOptionsFrom(const MultiTenantEngineOptions& options,
   return qc;
 }
 
-/// The multi-tenant manifest. Every key mirrors one read in the replayer's
-/// MultiOptionsFromManifest (plus the tenant= spec lines SpecsFromManifest
-/// consumes); ReplayResult::manifest_match catches drift between the two.
-JournalManifest BuildMultiManifest(const MultiTenantEngineOptions& o,
-                                   const std::vector<TenantQuerySpec>& specs) {
-  JournalManifest m;
-  m.Set("format", "prompt-journal-v1");
-  m.Set("mode", "multi");
-  m.Set("batch_interval", static_cast<int64_t>(o.batch_interval));
-  m.Set("total_slots", static_cast<uint64_t>(o.total_slots));
-  m.Set("map_tasks", static_cast<uint64_t>(o.map_tasks));
-  m.Set("reduce_tasks", static_cast<uint64_t>(o.reduce_tasks));
-  m.Set("exec_mode", o.mode == ExecutionMode::kReal ? "real" : "simulated");
-  m.Set("use_prompt_reduce", o.use_prompt_reduce);
-  m.Set("early_release_frac", o.early_release_frac);
-  m.Set("unstable_queue_intervals", o.unstable_queue_intervals);
-  m.Set("cost.map_task_fixed_us", o.cost.map_task_fixed_us);
-  m.Set("cost.map_per_tuple_us", o.cost.map_per_tuple_us);
-  m.Set("cost.map_per_key_us", o.cost.map_per_key_us);
-  m.Set("cost.reduce_task_fixed_us", o.cost.reduce_task_fixed_us);
-  m.Set("cost.reduce_per_tuple_us", o.cost.reduce_per_tuple_us);
-  m.Set("cost.reduce_per_cluster_us", o.cost.reduce_per_cluster_us);
-  m.Set("cost.partition_cost_scale", o.cost.partition_cost_scale);
-  m.Set("cost.replicate_per_kib_us", o.cost.replicate_per_kib_us);
-  {
-    std::string csv;
-    for (PartitionerType t : o.adapt_base.candidates) {
-      if (!csv.empty()) csv += ',';
-      csv += PartitionerTypeName(t);
-    }
-    m.Set("adapt.candidates", csv);
-  }
-  m.Set("adapt.grace", static_cast<int64_t>(o.adapt_base.grace));
-  m.Set("adapt.window", static_cast<uint64_t>(o.adapt_base.window));
-  m.Set("adapt.calm_block_load_ratio", o.adapt_base.calm_block_load_ratio);
-  m.Set("adapt.calm_split_key_frac", o.adapt_base.calm_split_key_frac);
-  m.Set("partitioner.accumulator",
-        AccumulatorKindName(o.adapt_base.config.prompt.accumulator_kind));
-  m.Set("partitioner.post_sort", o.adapt_base.config.prompt.post_sort);
-  m.Set("partitioner.cam_candidates",
-        static_cast<uint64_t>(o.adapt_base.config.cam_candidates));
-  m.Set("partitioner.sketch_capacity",
-        static_cast<uint64_t>(o.adapt_base.config.sketch_capacity));
-  m.Set("obs.collect_partition_metrics", o.obs.collect_partition_metrics);
-  m.Set("obs.autopsy.min_excess_frac", o.obs.autopsy.min_excess_frac);
-  m.Set("obs.autopsy.min_excess_us",
-        static_cast<int64_t>(o.obs.autopsy.min_excess_us));
-  m.Set("obs.autopsy.ring_pressure_threshold",
-        o.obs.autopsy.ring_pressure_threshold);
-  m.Set("store.enabled", o.store.enabled());
-  m.Set("store.fsync", FsyncPolicyName(o.store.fsync));
-  m.Set("store.memory_budget_bytes",
-        static_cast<uint64_t>(o.store.memory_budget_bytes));
-  m.Set("store.retain_bytes", static_cast<uint64_t>(o.store.retain_bytes));
-  m.Set("store.retain_batches", o.store.retain_batches);
-  m.Set("ingest.shards", static_cast<uint64_t>(o.ingest.shards));
-  m.Set("ingest.ring_capacity", static_cast<uint64_t>(o.ingest.ring_capacity));
-  m.Set("ingest.accumulator", AccumulatorKindName(o.ingest.accumulator));
-  m.Set("ingest.key_mode", KeyModeName(o.ingest.key_mode));
-  for (const TenantQuerySpec& spec : specs) {
-    m.Set("tenant", TenantSpecLine(spec));
-  }
-  return m;
+/// The two-tenant list (engine/manifest.h), in every multi-tenant
+/// manifest's byte order.
+template <typename Run>
+void MultiFields(ManifestVisitor& v, Run& run) {
+  auto& o = run.options;
+  v.Const("format", kJournalFormat);
+  v.Const("mode", "multi");
+  v("batch_interval", o.batch_interval, AtLeast(1));
+  v("total_slots", o.total_slots, AtLeast(1));
+  v("map_tasks", o.map_tasks, AtLeast(1));
+  v("reduce_tasks", o.reduce_tasks, AtLeast(1));
+  v("exec_mode", o.mode);
+  v("use_prompt_reduce", o.use_prompt_reduce);
+  v("early_release_frac", o.early_release_frac);
+  v("unstable_queue_intervals", o.unstable_queue_intervals);
+  CostFields(v, o.cost);
+  v("adapt.candidates", o.adapt_base.candidates);
+  AdaptThresholdFields(v, o.adapt_base);
+  PartitionerConfigFields(v, o.adapt_base.config);
+  ObsFields(v, o.obs);
+  StoreFields(v, o.store);
+  IngestFields(v, o.ingest);
+  v.Lines("tenant", run.specs);
 }
 
 }  // namespace
+
+JournalManifest WriteMultiManifest(const MultiRunManifest& run) {
+  JournalManifest manifest;
+  ManifestVisitor writer(&manifest);
+  MultiFields(writer, run);
+  return manifest;
+}
+
+Result<MultiRunManifest> ReadMultiManifest(const JournalManifest& manifest,
+                                           const std::string& store_dir) {
+  MultiRunManifest run;
+  ManifestVisitor reader(manifest, store_dir);
+  MultiFields(reader, run);
+  PROMPT_RETURN_NOT_OK(reader.Finish("multi-tenant"));
+  return run;
+}
 
 MultiTenantEngine::MultiTenantEngine(MultiTenantEngineOptions options,
                                      TupleSource* source)
@@ -133,7 +125,7 @@ Result<std::unique_ptr<MultiTenantEngine>> MultiTenantEngine::Create(
   // Built before the specs are moved into tenants_; opened after recovery so
   // a journal on a failing store directory never leaves stray files behind.
   JournalManifest manifest;
-  if (opts.journal.enabled()) manifest = BuildMultiManifest(opts, specs);
+  if (opts.journal.enabled()) manifest = WriteMultiManifest({opts, specs});
 
   engine->obs_ = std::make_unique<Observability>(opts.obs);
   if (!engine->obs_->init_status().ok()) {

@@ -82,6 +82,17 @@ struct MultiTenantEngineOptions {
   JournalOptions journal;
 };
 
+/// \brief What a multi-tenant journal records (engine/manifest.h): the
+/// shared options and one `tenant` line per spec.
+struct MultiRunManifest {
+  MultiTenantEngineOptions options;
+  std::vector<TenantQuerySpec> specs;
+};
+JournalManifest WriteMultiManifest(const MultiRunManifest& run);
+/// The strict read; a recorded store is pointed at `store_dir`.
+Result<MultiRunManifest> ReadMultiManifest(const JournalManifest& manifest,
+                                           const std::string& store_dir);
+
 /// \brief One tenant's results for a Run call.
 struct TenantRunResult {
   std::string id;

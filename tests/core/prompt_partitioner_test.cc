@@ -178,6 +178,14 @@ struct PlanSweepParam {
   double z;
 };
 
+// Prints the parameters. Without this gtest prints the struct's raw bytes,
+// uninitialized padding included, and CTest's test discovery builds the
+// test names from that printout, so the names changed between builds.
+void PrintTo(const PlanSweepParam& p, std::ostream* os) {
+  *os << "tuples=" << p.tuples << " keys=" << p.cardinality
+      << " blocks=" << p.blocks << " z=" << p.z;
+}
+
 class PromptPlanSweepTest : public ::testing::TestWithParam<PlanSweepParam> {};
 
 TEST_P(PromptPlanSweepTest, InvariantsHold) {

@@ -38,15 +38,7 @@ TEST(JournalManifestTest, LiteralValuesRoundTripAsText) {
   // A string literal must land as text, not decay through the bool
   // overload (the conversion-rank trap this codebase hit once already).
   m.Set("mode", "single");
-  m.Set("batches", static_cast<uint64_t>(12));
-  m.Set("offset", static_cast<int64_t>(-3));
-  m.Set("frac", 0.25);
-  m.Set("flag", true);
   EXPECT_EQ(m.Get("mode", "?"), "single");
-  EXPECT_EQ(m.GetUint("batches", 0), 12u);
-  EXPECT_EQ(m.GetInt("offset", 0), -3);
-  EXPECT_EQ(m.GetDouble("frac", 0), 0.25);
-  EXPECT_TRUE(m.GetBool("flag", false));
 
   auto parsed = JournalManifest::Parse(m.Serialize());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -100,7 +92,7 @@ TEST(JournalTest, WriterReaderRoundTripsEveryRecordKind) {
   const std::string dir = FreshDir("journal_roundtrip");
   JournalManifest manifest;
   manifest.Set("mode", "single");
-  manifest.Set("batches", static_cast<uint64_t>(2));
+  manifest.Set("batches", "2");
   {
     auto writer = MustOpen(Opts(dir), manifest);
     EXPECT_TRUE(writer->fresh());

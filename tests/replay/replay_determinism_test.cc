@@ -1,7 +1,8 @@
 // End-to-end flight-recorder acceptance: record real engine runs, replay
 // them from the journal alone and require bit-identical outcome streams —
 // across ingest shard counts, a crash/restart lineage over the durable
-// store, and a two-tenant run. Plus the autopsy direction: a deliberately
+// store, two-tenant runs and sketch-mode ingest, and for journals recorded
+// by earlier builds. Plus the autopsy direction: a deliberately
 // perturbed re-run must diff with the divergence pinned to the exact batch
 // the perturbation lands in.
 #include <gtest/gtest.h>
@@ -219,6 +220,44 @@ TEST(ReplayDeterminismTest, TwoTenantRunRoundTrips) {
   }
 }
 
+TEST(ReplayDeterminismTest, TwoTenantSketchRunRoundTrips) {
+  // Sketch-mode ingest across two tenants: the manifest must carry the
+  // sketch settings, or the replay runs exact ingest and diverges at once.
+  const std::string journal_dir = FreshDir("replay_tenants_sketch");
+  const std::string output_dir = FreshDir("replay_tenants_sketch.out");
+  {
+    auto specs = ParseQueryFile(
+        "TENANT even WEIGHT 1 TECHNIQUE Hash KEYS mod:2:0 "
+        "QUERY SELECT COUNT WINDOW 1S\n"
+        "TENANT odd  WEIGHT 3 TECHNIQUE Prompt KEYS mod:2:1 "
+        "QUERY SELECT SUM WINDOW 1S\n");
+    ASSERT_TRUE(specs.ok()) << specs.status().message();
+    MultiTenantEngineOptions opts;
+    opts.batch_interval = kInterval;
+    opts.total_slots = 8;
+    opts.map_tasks = 4;
+    opts.reduce_tasks = 3;
+    opts.ingest.key_mode = KeyMode::kSketch;
+    opts.ingest.accumulator_options.sketch.capacity = 512;
+    opts.ingest.accumulator_options.sketch.tail_buckets = 32;
+    opts.journal.dir = journal_dir;
+    auto source = MakeSource(53);
+    auto engine = MultiTenantEngine::Create(
+        opts, std::move(specs).ValueUnsafe(), source.get());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    (*engine)->Run(6);
+  }
+  auto recorded = ReadJournal(journal_dir);
+  ASSERT_TRUE(recorded.ok());
+  EXPECT_EQ(recorded->manifest.Get("ingest.sketch_capacity", ""), "512");
+  EXPECT_EQ(recorded->manifest.Get("ingest.tail_buckets", ""), "32");
+
+  const ReplayResult result = MustReplay(journal_dir, output_dir);
+  EXPECT_EQ(result.mode, "multi");
+  EXPECT_TRUE(result.BitIdentical()) << result.diff.summary;
+  EXPECT_EQ(result.diff.identical_batches, 12u);  // 6 batches x 2 tenants
+}
+
 std::string FileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in), {});
@@ -242,6 +281,28 @@ TEST(ReplayDeterminismTest, RecordedFixtureReplaysBitIdentically) {
   EXPECT_EQ(result.batches, 6u);
   EXPECT_TRUE(result.BitIdentical()) << result.diff.summary;
   EXPECT_EQ(result.diff.identical_batches, 12u);  // 6 batches x 2 tenants
+  const std::string recorded = FileBytes(fixture + "/seg-000000.log");
+  ASSERT_FALSE(recorded.empty());
+  EXPECT_TRUE(FileBytes(output_dir + "/seg-000000.log") == recorded);
+}
+
+TEST(ReplayDeterminismTest, RecordedSketchFixtureReplaysBitIdentically) {
+  // A single-tenant sketch-mode run recorded by an earlier build:
+  //   promptctl --key_mode=sketch --sketch_capacity=512 --ingest_shards=2
+  //             --batches=6 --rate=2000 --record=<fixture>
+  // The sketch settings must be read back, and re-recording must give the
+  // recorded bytes back.
+  const std::string fixture =
+      std::string(PROMPT_TESTDATA_DIR) + "/sketch_single_journal";
+  const std::string journal_dir = FreshDir("replay_sketch_fixture");
+  const std::string output_dir = FreshDir("replay_sketch_fixture.out");
+  std::filesystem::copy(fixture, journal_dir);
+  const ReplayResult result = MustReplay(journal_dir, output_dir);
+  EXPECT_EQ(result.mode, "single");
+  EXPECT_EQ(result.attempts, 1u);
+  EXPECT_EQ(result.batches, 6u);
+  EXPECT_TRUE(result.BitIdentical()) << result.diff.summary;
+  EXPECT_EQ(result.diff.identical_batches, 6u);
   const std::string recorded = FileBytes(fixture + "/seg-000000.log");
   ASSERT_FALSE(recorded.empty());
   EXPECT_TRUE(FileBytes(output_dir + "/seg-000000.log") == recorded);
