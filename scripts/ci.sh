@@ -163,7 +163,29 @@ grep -q '^tenant noisy' "${LOG_DIR}/mt-smoke.log" || {
   echo "multi-tenant smoke: noisy tenant section missing" >&2
   exit 1
 }
-echo "multi-tenant smoke: per-tenant autopsy streams OK"
+# Every flag the --queries path does not honour exits 1 naming the flag,
+# never silently dropped; metrics snapshots come from the same batch loop
+# as a single-query run's.
+if "${BUILD_DIR}/tools/promptctl" --queries=examples/two_tenants.query \
+     --batches=2 --fault_schedule=kill:1@1 > "${LOG_DIR}/mt-reject.log" 2>&1; then
+  echo "multi-tenant smoke: --fault_schedule with --queries was accepted" >&2
+  exit 1
+fi
+grep -q -- '--fault_schedule' "${LOG_DIR}/mt-reject.log" || {
+  echo "multi-tenant smoke: the rejection does not name the flag" >&2
+  exit 1
+}
+rm -f "${LOG_DIR}/mt-metrics.jsonl"
+"${BUILD_DIR}/tools/promptctl" --queries=examples/two_tenants.query \
+  --dataset=SynD --rate=4000 --batches=4 --metrics_every=2 \
+  --metrics_out="${LOG_DIR}/mt-metrics.jsonl" \
+  2>&1 | tee "${LOG_DIR}/mt-metrics.log"
+if [[ ! -s "${LOG_DIR}/mt-metrics.jsonl" ]]; then
+  echo "multi-tenant smoke: --metrics_out wrote no snapshot" >&2
+  exit 1
+fi
+echo "multi-tenant smoke: per-tenant autopsy streams, flag rejection and" \
+  "metrics snapshots OK"
 
 # Crash-restart durability smoke: run with a durable store and SIGKILL the
 # process mid-run (--crash_after raises SIGKILL from inside promptctl — a

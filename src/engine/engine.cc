@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string_view>
 #include <unordered_map>
 
@@ -32,8 +33,7 @@ double RunSummary::MeanThroughputTuplesPerSec(TimeMicros interval,
   return static_cast<double>(tuples) / seconds;
 }
 
-/// The per-query slice of the engine options (QueryContext construction).
-static QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
+QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
   QueryContextOptions qc;
   qc.map_tasks = options.map_tasks;
   qc.reduce_tasks = options.reduce_tasks;
@@ -48,45 +48,123 @@ static QueryContextOptions QueryOptionsFrom(const EngineOptions& options) {
   return qc;
 }
 
+PartitionedBatch SealMerged(BatchPartitioner* partitioner,
+                            const AccumulatedBatch& merged,
+                            const KeyFilter& filter, uint64_t batch_id) {
+  PartitionedBatch batch;
+  if (filter.kind == KeyFilter::Kind::kAll &&
+      partitioner->SealAccumulated(merged, batch_id, &batch)) {
+    return batch;
+  }
+  // Online techniques are order-insensitive apart from tie-breaking, so the
+  // quasi-sorted replay preserves their semantics; filters select whole key
+  // runs, so a slice replays sequentially too.
+  merged.Replay([&](KeyId key) { return filter.Matches(key); },
+                [&](const Tuple& t) { partitioner->OnTuple(t); });
+  return partitioner->Seal(batch_id);
+}
+
+void MergedBatchEstimates::Feed(const AccumulatedBatch& merged,
+                                ParallelIngestPipeline* pipeline) {
+  tuples_.Observe(static_cast<double>(merged.num_tuples()));
+  keys_.Observe(static_cast<double>(
+      merged.stats().sketch_mode
+          ? std::max(merged.num_keys(), merged.stats().distinct_estimate)
+          : merged.num_keys()));
+  pipeline->UpdateEstimates(static_cast<uint64_t>(tuples_.Value()),
+                            static_cast<uint64_t>(keys_.Value()));
+}
+
+namespace {
+
+/// The single-query entry point's setup: one KEYS-all, unlabeled tenant. An
+/// adaptive query needs the partition-metrics pass (the controller's calm
+/// test reads block-load and split-key signals), and a store implies cluster
+/// mode; the manifest records the options with both applied.
+EngineSetup SingleQuery(EngineOptions options, JobSpec job,
+                        std::unique_ptr<BatchPartitioner> partitioner) {
+  PROMPT_CHECK(partitioner != nullptr);
+  if (options.adapt.enabled) options.obs.collect_partition_metrics = true;
+  if (options.store.enabled()) options.cluster_enabled = true;
+  EngineSetup setup;
+  if (options.journal.enabled()) {
+    std::optional<PartitionerType> technique;
+    if (Result<PartitionerType> type =
+            PartitionerTypeFromName(partitioner->name());
+        type.ok()) {
+      technique = *type;
+    }
+    setup.manifest = WriteSingleManifest({options, job, technique});
+  }
+  TenantSetup tenant;
+  tenant.id = "default";
+  tenant.options = QueryOptionsFrom(options);
+  tenant.job = std::move(job);
+  tenant.partitioner = std::move(partitioner);
+  setup.tenants.push_back(std::move(tenant));
+  setup.options = std::move(options);
+  return setup;
+}
+
+void WarnIfFailed(const Status& st, const char* what) {
+  if (!st.ok()) PROMPT_LOG(kWarn) << what << " failed: " << st.ToString();
+}
+
+}  // namespace
+
 MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
                                    std::unique_ptr<BatchPartitioner> partitioner,
                                    TupleSource* source)
-    : options_(options), job_(std::move(job)), source_(source) {
-  PROMPT_CHECK(partitioner != nullptr);
+    : MicroBatchEngine(SingleQuery(std::move(options), std::move(job),
+                                   std::move(partitioner)),
+                       source) {}
+
+MicroBatchEngine::MicroBatchEngine(EngineSetup setup, TupleSource* source)
+    : options_(std::move(setup.options)), source_(source) {
   PROMPT_CHECK(source_ != nullptr);
   PROMPT_CHECK(options_.batch_interval > 0);
-  if (options_.adapt.enabled) {
-    // The controller's calm test reads block-load and split-key signals, so
-    // the partition-metrics pass must run regardless of what the caller set.
-    options_.obs.collect_partition_metrics = true;
-  }
+  PROMPT_CHECK(!setup.tenants.empty());
   obs_ = std::make_unique<Observability>(options_.obs);
   if (!obs_->init_status().ok()) {
     PROMPT_LOG(kWarn) << "observability sink setup failed: "
                       << obs_->init_status().ToString();
   }
-  // The single-tenant fast path: all per-query state (partitioner, window,
-  // controllers, estimates) lives in one QueryContext the run loop drives.
-  query_ = std::make_unique<QueryContext>(
-      /*id=*/"default", QueryOptionsFrom(options_), job_,
-      std::move(partitioner), obs_->registry());
+  scheduler_ = std::make_unique<TenantScheduler>(
+      TenantSchedulerOptions{std::max<uint32_t>(1, options_.cores)});
+  for (TenantSetup& t : setup.tenants) {
+    if (Result<size_t> added = scheduler_->AddTenant(t.id, t.weight);
+        !added.ok()) {
+      init_status_ = added.status();
+      return;
+    }
+    Tenant tenant;
+    tenant.ctx = std::make_unique<QueryContext>(
+        std::move(t.id), t.options, std::move(t.job), std::move(t.partitioner),
+        obs_->registry(), t.labels);
+    tenant.filter = t.filter;
+    tenant.stream = obs_->AddStream(t.labels);
+    tenants_.push_back(std::move(tenant));
+  }
+  // Created before recovery, which re-executes the stored batches on it.
   if (options_.mode == ExecutionMode::kReal) {
     pool_ = std::make_unique<ThreadPool>(options_.cores);
   }
-  if (options_.store.enabled()) {
-    // The durable tier backs the §8 BatchStore; no store without a cluster.
-    options_.cluster_enabled = true;
-  }
   if (options_.cluster_enabled) {
     cluster_ = std::make_unique<SimulatedCluster>(options_.cluster);
-    store_ = std::make_unique<BatchStore>(cluster_.get());
+    for (Tenant& tenant : tenants_) {
+      tenant.store = std::make_unique<BatchStore>(cluster_.get());
+    }
   }
   if (options_.store.enabled()) {
     auto durable = DurableBlockStore::Open(options_.store);
     if (durable.ok()) {
       durable_ = std::move(durable).ValueUnsafe();
       durable_->BindMetrics(obs_->registry());
-      store_->AttachDurable(durable_.get(), /*owner=*/0);
+      for (size_t owner = 0; owner < tenants_.size(); ++owner) {
+        if (tenants_[owner].store == nullptr) continue;
+        tenants_[owner].store->AttachDurable(durable_.get(),
+                                             static_cast<uint32_t>(owner));
+      }
       RecoverFromDurableStore();
     } else {
       // Durability was explicitly requested; running memory-only behind the
@@ -122,23 +200,19 @@ MicroBatchEngine::MicroBatchEngine(EngineOptions options, JobSpec job,
     ingest_ = std::make_unique<ParallelIngestPipeline>(options_.ingest);
     ingest_->BindMetrics(obs_->registry());
   }
-  if (options_.journal.enabled()) {
-    const int32_t type = query_->current_technique;
-    std::optional<PartitionerType> technique;
-    if (type >= 0) technique = static_cast<PartitionerType>(type);
-    auto journal = JournalWriter::Open(
-        options_.journal, WriteSingleManifest({options_, job_, technique}));
+  // A construction that already failed records nothing: no stray journal.
+  if (options_.journal.enabled() && init_status_.ok()) {
+    auto journal = JournalWriter::Open(options_.journal, setup.manifest);
     if (journal.ok()) {
       journal_ = std::move(journal).ValueUnsafe();
     } else {
       // Recording was explicitly requested; running unrecorded would break
       // the operator's replay guarantee silently. Same contract as the
       // durable store: surface a construction failure.
-      Status failed = Status::IOError(
-          "journal " + options_.journal.dir + " cannot be opened: " +
-          journal.status().ToString());
-      PROMPT_LOG(kError) << failed.ToString();
-      if (init_status_.ok()) init_status_ = failed;
+      init_status_ = Status::IOError("journal " + options_.journal.dir +
+                                     " cannot be opened: " +
+                                     journal.status().ToString());
+      PROMPT_LOG(kError) << init_status_.ToString();
     }
   }
 }
@@ -152,53 +226,54 @@ void MicroBatchEngine::RecoverFromDurableStore() {
   // report it as loss, never paper over it with a fabricated batch.
   durable_recovery_.data_loss = scan.torn_records > 0;
 
-  const uint32_t cores =
-      std::max<uint32_t>(1, cluster_->total_alive_cores());
-  for (uint64_t id : durable_->LiveBatches(/*owner=*/0)) {
-    Result<std::string> bytes = durable_->Get(/*owner=*/0, id);
-    if (!bytes.ok()) {
-      PROMPT_LOG(kWarn) << "recovery: cannot read batch " << id << ": "
-                        << bytes.status().ToString();
-      durable_recovery_.data_loss = true;
-      continue;
+  const uint32_t cores = PoolCores();
+  for (size_t owner = 0; owner < tenants_.size(); ++owner) {
+    Tenant& tenant = tenants_[owner];
+    QueryContext& ctx = *tenant.ctx;
+    const auto owner_id = static_cast<uint32_t>(owner);
+    for (uint64_t id : durable_->LiveBatches(owner_id)) {
+      Result<std::string> bytes = durable_->Get(owner_id, id);
+      Result<PartitionedBatch> decoded =
+          bytes.ok() ? DecodeBatch(*bytes)
+                     : Result<PartitionedBatch>(bytes.status());
+      if (!decoded.ok()) {
+        PROMPT_LOG(kWarn) << "recovery: cannot recover batch " << id
+                          << " of tenant " << ctx.id() << ": "
+                          << decoded.status().ToString();
+        durable_recovery_.data_loss = true;
+        continue;
+      }
+      // Deterministic re-execution: partitioned input + the same reduce
+      // logic give bit-identical per-key aggregates, so the recovered
+      // window equals an uninterrupted run over the surviving batches.
+      BatchExecution exec = ctx.executor->Execute(*decoded, ctx.reduce_tasks,
+                                                  cores, pool_.get());
+      ctx.window->AddBatch(std::move(exec.output));
+      if (tenant.store != nullptr) {
+        // Memory-tier placement only — the log already holds this batch,
+        // and re-appending on every restart would grow the segments
+        // without bound.
+        if (Result<uint32_t> placed = tenant.store->Restore(*decoded);
+            !placed.ok()) {
+          PROMPT_LOG(kWarn) << "recovery: replica placement for batch " << id
+                            << " failed: " << placed.status().ToString();
+        }
+        TrackStateNode(ctx, id);
+      }
+      ++durable_recovery_.batches_recovered;
+      durable_recovery_.first_recovered_batch =
+          std::min(durable_recovery_.first_recovered_batch, id);
+      durable_recovery_.last_recovered_batch =
+          std::max(durable_recovery_.last_recovered_batch, id);
     }
-    Result<PartitionedBatch> decoded = DecodeBatch(*bytes);
-    if (!decoded.ok()) {
-      PROMPT_LOG(kWarn) << "recovery: cannot decode batch " << id << ": "
-                        << decoded.status().ToString();
-      durable_recovery_.data_loss = true;
-      continue;
-    }
-    PartitionedBatch batch = std::move(decoded).ValueUnsafe();
-    // Deterministic re-execution: partitioned input + the same reduce logic
-    // give bit-identical per-key aggregates, so the recovered window equals
-    // an uninterrupted run over the surviving batches.
-    BatchExecution exec = query_->executor->Execute(
-        batch, query_->reduce_tasks, cores, pool_.get());
-    query_->window->AddBatch(std::move(exec.output));
-    // Memory-tier placement only — the log already holds this batch, and
-    // re-appending on every restart would grow the segments without bound.
-    if (Result<uint32_t> placed = store_->Restore(batch); !placed.ok()) {
-      PROMPT_LOG(kWarn) << "recovery: replica placement for batch " << id
-                        << " failed: " << placed.status().ToString();
-    }
-    query_->window_state_nodes.push_back(
-        QueryContext::WindowReplica{id, PickStateNode(id)});
-    while (query_->window_state_nodes.size() > query_->window->depth()) {
-      query_->window_state_nodes.pop_front();
-    }
-    ++durable_recovery_.batches_recovered;
-    durable_recovery_.first_recovered_batch =
-        std::min(durable_recovery_.first_recovered_batch, id);
-    durable_recovery_.last_recovered_batch =
-        std::max(durable_recovery_.last_recovered_batch, id);
-    query_->next_batch_id = std::max(query_->next_batch_id, id + 1);
   }
   if (durable_recovery_.batches_recovered > 0) {
-    // Resume the virtual clock where the crashed run's batching left off.
+    // Every tenant rides the heartbeat clock: resume it past the newest
+    // recovered batch anywhere in the log.
+    const uint64_t next = durable_recovery_.last_recovered_batch + 1;
     next_batch_start_ =
-        static_cast<TimeMicros>(durable_recovery_.last_recovered_batch + 1) *
-        options_.batch_interval;
+        static_cast<TimeMicros>(next) * options_.batch_interval;
+    for (Tenant& tenant : tenants_) tenant.ctx->next_batch_id = next;
     PROMPT_LOG(kInfo) << "recovered " << durable_recovery_.batches_recovered
                       << " batch(es) [" << durable_recovery_.first_recovered_batch
                       << ".." << durable_recovery_.last_recovered_batch
@@ -209,18 +284,35 @@ void MicroBatchEngine::RecoverFromDurableStore() {
   }
 }
 
-BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
-                                           TimeMicros interval) {
+uint32_t MicroBatchEngine::PoolCores() const {
+  return cluster_ != nullptr
+             ? std::max<uint32_t>(1, cluster_->total_alive_cores())
+             : options_.cores;
+}
+
+uint32_t MicroBatchEngine::CoresFor(uint32_t share) const {
+  // Exact for a whole-pool share (the single-query case) and for a static
+  // pool (no cluster): share * pool / total == share.
+  return std::max<uint32_t>(
+      1, static_cast<uint32_t>(static_cast<uint64_t>(share) * PoolCores() /
+                               scheduler_->total_slots()));
+}
+
+BatchReport MicroBatchEngine::ProcessBatch(Tenant& tenant,
+                                           PartitionedBatch batch,
+                                           TimeMicros interval,
+                                           uint32_t share) {
+  QueryContext& ctx = *tenant.ctx;
   BatchReport report;
   report.batch_id = batch.batch_id;
   report.batch_interval = interval;
   report.num_tuples = batch.num_tuples;
   report.num_keys = batch.num_keys;
   report.map_tasks = static_cast<uint32_t>(batch.blocks.size());
-  report.reduce_tasks = query_->reduce_tasks;
+  report.reduce_tasks = ctx.reduce_tasks;
   report.partition_cost = batch.partition_cost;
   report.sketch = batch.sketch;
-  query_->MarkTechnique(&report);
+  ctx.MarkTechnique(&report);
 
   // Early Batch Release (§4.2): the partitioner worked during the slack
   // before the heartbeat; only the excess delays processing.
@@ -240,57 +332,50 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
   // a mid-stage failure can replay the batch from surviving copies. Copies
   // are only needed while the batch is inside the query window (evicted at
   // the end of this function).
-  if (store_ != nullptr) {
-    Result<uint32_t> copies = store_->Write(batch);
+  if (tenant.store != nullptr) {
+    Result<uint32_t> copies = tenant.store->Write(batch);
     if (!copies.ok()) {
       PROMPT_LOG(kWarn) << "batch replication failed: "
                         << copies.status().ToString();
     }
     if (durable_ != nullptr) {
       report.store_append_us = durable_->last_append_micros();
-      report.store_bytes_appended = store_->last_write_bytes();
-      report.store_spilled_copies = store_->last_spill_count();
+      report.store_bytes_appended = tenant.store->last_write_bytes();
+      report.store_spilled_copies = tenant.store->last_spill_count();
     }
     // Gauge, not an event count: while the cluster is degraded every batch
     // reports how many in-window batches sit below the configured factor
     // (a later top-up in this same batch refreshes the field).
-    report.under_replicated_batches =
-        store_->UnderReplicatedCount(options_.cluster.replication_factor);
+    report.under_replicated_batches = tenant.store->UnderReplicatedCount(
+        options_.cluster.replication_factor);
   }
 
-  // Failure-detection point 1: the batch boundary. Manual KillNode calls
-  // made between runs are recovered here too.
-  for (uint32_t node : pending_node_losses_) {
-    RecoverFromNodeLoss(node, &report);
-  }
-  pending_node_losses_.clear();
-  PollFaults(batch.batch_id, FaultPoint::kBatchStart, &report);
+  // Failure-detection point 1: the batch boundary. Nodes lost since this
+  // tenant last ran (manual KillNode calls included) are recovered here.
+  RecoverNodeLosses(tenant, &report);
+  PollFaults(tenant, batch.batch_id, FaultPoint::kBatchStart, &report);
   if (crashed_) return report;  // the process died before any stage ran
 
-  const uint32_t cluster_cores =
-      cluster_ != nullptr ? std::max<uint32_t>(1, cluster_->total_alive_cores())
-                          : options_.cores;
+  // The stages run on the tenant's share of the pool, counted after the
+  // boundary's faults (a kill there shrinks it).
+  const uint32_t cores = CoresFor(share);
+  report.slots = cores;
   const uint32_t map_cores =
       options_.cores_track_tasks
           ? std::max<uint32_t>(1, static_cast<uint32_t>(batch.blocks.size()))
-          : cluster_cores;
+          : cores;
   const uint32_t reduce_cores =
-      options_.cores_track_tasks ? std::max<uint32_t>(1, query_->reduce_tasks)
-                                 : cluster_cores;
+      options_.cores_track_tasks ? std::max<uint32_t>(1, ctx.reduce_tasks)
+                                 : cores;
 
-  // Execute both stages (scheduler uses the smaller of the two core counts
-  // internally per stage via two calls).
-  BatchExecution exec;
-  {
-    // BatchExecutor schedules each stage with one core count; when the two
-    // differ (elasticity), run it with map cores and rescale the reduce
-    // stage below.
-    exec = query_->executor->Execute(batch, query_->reduce_tasks, map_cores, pool_.get());
-    if (reduce_cores != map_cores) {
-      StageSchedule rs = ScheduleStage(exec.reduce_task_costs, reduce_cores);
-      exec.reduce_makespan = rs.makespan;
-      exec.reduce_completions = std::move(rs.completion);
-    }
+  // BatchExecutor schedules each stage with one core count; when the two
+  // differ (elasticity), run it with map cores and rescale the reduce stage.
+  BatchExecution exec =
+      ctx.executor->Execute(batch, ctx.reduce_tasks, map_cores, pool_.get());
+  if (reduce_cores != map_cores) {
+    StageSchedule rs = ScheduleStage(exec.reduce_task_costs, reduce_cores);
+    exec.reduce_makespan = rs.makespan;
+    exec.reduce_completions = std::move(rs.completion);
   }
 
   // Injected stragglers / transient task failures: retry + speculation
@@ -316,14 +401,15 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
   // stay on the clock (the pipeline slot was spent) and the batch is redone
   // from replicated input on the survivors, charged to recovery_time.
   bool replay_current = retry_exhausted;
-  replay_current |= PollFaults(batch.batch_id, FaultPoint::kMapStage, &report);
   replay_current |=
-      PollFaults(batch.batch_id, FaultPoint::kReduceStage, &report);
+      PollFaults(tenant, batch.batch_id, FaultPoint::kMapStage, &report);
+  replay_current |=
+      PollFaults(tenant, batch.batch_id, FaultPoint::kReduceStage, &report);
   if (crashed_) return report;  // died mid-stage: this batch never completes
   if (replay_current) {
     Result<BatchExecution> redo =
-        store_ != nullptr
-            ? ReplayBatchFromStore(batch.batch_id, &report)
+        tenant.store != nullptr
+            ? ReplayBatchFromStore(tenant, batch.batch_id, &report)
             : Result<BatchExecution>(
                   Status::Invalid("no replicated input to replay from"));
     if (redo.ok()) {
@@ -360,29 +446,14 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
     report.reduce_completion_max_ms = hi;
   }
 
-  // Extra queries run their Map/Reduce stages over the same blocks
-  // sequentially (one shared cluster), extending the batch's processing
-  // time the way consecutive Spark jobs on one context would.
-  for (ExtraQuery& extra : extra_queries_) {
-    BatchExecution extra_exec =
-        extra.executor->Execute(batch, query_->reduce_tasks, map_cores, pool_.get());
-    report.processing_time +=
-        extra_exec.map_makespan + extra_exec.reduce_makespan;
-    extra.window->AddBatch(std::move(extra_exec.output));
-  }
-  if (!extra_queries_.empty()) {
-    report.w = static_cast<double>(report.processing_time) /
-               static_cast<double>(interval);
-  }
-
   if (options_.replicate_input) {
-    query_->last_replica = std::make_unique<PartitionedBatch>(batch);
-    query_->last_output = exec.output;
+    ctx.last_replica = std::make_unique<PartitionedBatch>(batch);
+    ctx.last_output = exec.output;
   }
-  if (store_ != nullptr && batch.batch_id >= job_.window_batches) {
+  if (tenant.store != nullptr && batch.batch_id >= ctx.job.window_batches) {
     // §8 GC rule: a batch expiring from the window can never be replayed
     // again, so its replicas are dropped.
-    store_->Evict(batch.batch_id - job_.window_batches);
+    tenant.store->Evict(batch.batch_id - ctx.job.window_batches);
   }
   if (journal_ != nullptr) {
     // Commutative hash of the per-key window contribution, taken at the
@@ -390,69 +461,26 @@ BatchReport MicroBatchEngine::ProcessBatch(PartitionedBatch batch,
     // window aggregates between record and replay.
     report.output_hash = HashBatchOutput(exec.output);
   }
-  query_->window->AddBatch(std::move(exec.output));
-  if (cluster_ != nullptr) {
-    // Track which node hosts this batch's reduce-bucket state, mirroring the
-    // window's retained history: losing that node later triggers a replay.
-    query_->window_state_nodes.push_back(QueryContext::WindowReplica{
-        batch.batch_id, PickStateNode(batch.batch_id)});
-    while (query_->window_state_nodes.size() > query_->window->depth()) {
-      query_->window_state_nodes.pop_front();
-    }
-  }
-  if (durable_ != nullptr && options_.store.fsync == FsyncPolicy::kBatch) {
-    // The kBatch durability point: everything up to and including this
-    // batch is on disk once this returns; a crash before it loses only the
-    // current batch's (torn) append.
-    if (Status st = durable_->Sync(); !st.ok()) {
-      PROMPT_LOG(kWarn) << "durable sync failed: " << st.ToString();
-    }
-  }
+  ctx.window->AddBatch(std::move(exec.output));
+  // Losing the node that hosts this batch's reduce-bucket state later
+  // triggers a replay.
+  if (cluster_ != nullptr) TrackStateNode(ctx, batch.batch_id);
   return report;
-}
-
-Result<size_t> MicroBatchEngine::AddQuery(JobSpec job) {
-  if (run_started_) {
-    return Status::Invalid("AddQuery must be called before the first Run");
-  }
-  ExtraQuery extra;
-  extra.executor = std::make_unique<BatchExecutor>(
-      job, CostModel(options_.cost), query_->allocator.get(), options_.mode);
-  extra.executor->BindMetrics(obs_->registry());
-  extra.window = std::make_unique<WindowState>(job.reduce, job.window_batches);
-  extra.job = std::move(job);
-  extra_queries_.push_back(std::move(extra));
-  return extra_queries_.size() - 1;
-}
-
-Result<const WindowState*> MicroBatchEngine::QueryWindow(
-    size_t query_id) const {
-  if (query_id >= extra_queries_.size()) {
-    return Status::OutOfRange("no such query id");
-  }
-  return static_cast<const WindowState*>(extra_queries_[query_id].window.get());
 }
 
 Status MicroBatchEngine::KillNode(uint32_t node) {
   if (cluster_ == nullptr) return Status::Invalid("cluster mode disabled");
   PROMPT_RETURN_NOT_OK(cluster_->KillNode(node));
-  // The node's memory died with it: its replica copies are gone for good
-  // (reviving later restores cores only). Recovery — replay of in-window
-  // batches and the replication top-up — runs at the next batch boundary,
-  // the engine's failure-detection point.
-  store_->DropNode(node);
-  pending_node_losses_.push_back(node);
+  // Recovery — replay of in-window batches and the replication top-up —
+  // runs at the next batch boundary, the engine's failure-detection point.
+  LoseNode(node);
   return Status::OK();
 }
 
 Status MicroBatchEngine::ReviveNode(uint32_t node) {
   if (cluster_ == nullptr) return Status::Invalid("cluster mode disabled");
   PROMPT_RETURN_NOT_OK(cluster_->ReviveNode(node));
-  if (query_->elastic != nullptr) {
-    query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
-    query_->map_tasks = query_->elastic->map_tasks();
-    query_->reduce_tasks = query_->elastic->reduce_tasks();
-  }
+  for (Tenant& tenant : tenants_) FeedCapacity(*tenant.ctx);
   return Status::OK();
 }
 
@@ -472,8 +500,32 @@ uint32_t MicroBatchEngine::PickStateNode(uint64_t batch_id) const {
   return alive[batch_id % alive.size()];
 }
 
-bool MicroBatchEngine::PollFaults(uint64_t batch_id, FaultPoint point,
-                                  BatchReport* report) {
+void MicroBatchEngine::TrackStateNode(QueryContext& ctx, uint64_t batch_id) {
+  ctx.window_state_nodes.push_back(
+      QueryContext::WindowReplica{batch_id, PickStateNode(batch_id)});
+  while (ctx.window_state_nodes.size() > ctx.window->depth()) {
+    ctx.window_state_nodes.pop_front();
+  }
+}
+
+void MicroBatchEngine::FeedCapacity(QueryContext& ctx) {
+  if (ctx.elastic == nullptr) return;
+  ctx.elastic->OnCapacityChange(cluster_->total_alive_cores());
+  ctx.map_tasks = ctx.elastic->map_tasks();
+  ctx.reduce_tasks = ctx.elastic->reduce_tasks();
+}
+
+void MicroBatchEngine::LoseNode(uint32_t node) {
+  // The node's memory died with it: its replica copies are gone for good
+  // (reviving later restores cores only).
+  for (Tenant& tenant : tenants_) {
+    tenant.store->DropNode(node);
+    tenant.pending_node_losses.push_back(node);
+  }
+}
+
+bool MicroBatchEngine::PollFaults(Tenant& tenant, uint64_t batch_id,
+                                  FaultPoint point, BatchReport* report) {
   if (fault_ == nullptr || cluster_ == nullptr) return false;
   bool killed = false;
   auto journal_fault = [&](const FaultEvent& event) {
@@ -483,25 +535,21 @@ bool MicroBatchEngine::PollFaults(uint64_t batch_id, FaultPoint point,
     jf.point = static_cast<uint8_t>(point);
     jf.kind = static_cast<uint8_t>(event.kind);
     jf.target = event.target;
-    if (Status st = journal_->AppendFault(jf); !st.ok()) {
-      PROMPT_LOG(kWarn) << "journal: fault append failed: " << st.ToString();
-    }
+    WarnIfFailed(journal_->AppendFault(jf), "journal: fault append");
   };
   for (const FaultEvent& event : fault_->Poll(batch_id, point, AliveNodes())) {
     if (event.kind == FaultKind::kCrash) {
       journal_fault(event);
       // The whole process dies: the durable store keeps only what was
       // fsynced (plus a torn tail for recovery to truncate); everything in
-      // memory — window, replicas, this batch — is gone. The run stops.
+      // memory — windows, replicas, this batch — is gone. The run stops.
       PROMPT_LOG(kWarn) << "fault injected: process crash at batch "
                         << batch_id;
       crashed_ = true;
       crashed_at_batch_ = batch_id;
       if (durable_ != nullptr) {
-        if (Status st = durable_->SimulateCrash(/*tear_tail=*/true);
-            !st.ok()) {
-          PROMPT_LOG(kWarn) << "crash simulation failed: " << st.ToString();
-        }
+        WarnIfFailed(durable_->SimulateCrash(/*tear_tail=*/true),
+                     "crash simulation");
       }
       break;
     }
@@ -514,79 +562,80 @@ bool MicroBatchEngine::PollFaults(uint64_t batch_id, FaultPoint point,
       PROMPT_LOG(kWarn) << "fault injected: node " << event.target
                         << " killed at batch " << batch_id;
       journal_fault(event);
-      store_->DropNode(event.target);
-      RecoverFromNodeLoss(event.target, report);
+      LoseNode(event.target);
+      RecoverNodeLosses(tenant, report);
       killed = true;
     } else if (event.kind == FaultKind::kReviveNode) {
       Status st = cluster_->ReviveNode(event.target);
       if (!st.ok()) continue;
       journal_fault(event);
       // The node rejoins with empty memory: capacity is back (the elastic
-      // controller may scale out again) and the extra room lets the store
+      // controllers may scale out again) and the extra room lets the store
       // restore the replication factor.
-      TopUpStoreReplication(report);
-      if (query_->elastic != nullptr) {
-        query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
-        query_->map_tasks = query_->elastic->map_tasks();
-        query_->reduce_tasks = query_->elastic->reduce_tasks();
-      }
+      TopUpStoreReplication(tenant, report);
+      for (Tenant& each : tenants_) FeedCapacity(*each.ctx);
     }
   }
   return killed;
 }
 
-void MicroBatchEngine::RecoverFromNodeLoss(uint32_t node, BatchReport* report) {
-  report->recovered_from_failure = true;
-  // Replay every in-window batch whose reduce-bucket state lived on the dead
-  // node: recompute from replicated input and patch its window contribution.
-  for (size_t i = 0; i < query_->window_state_nodes.size(); ++i) {
-    QueryContext::WindowReplica& wr = query_->window_state_nodes[i];
-    if (wr.node != node) continue;
-    Result<BatchExecution> redo = ReplayBatchFromStore(wr.batch_id, report);
-    if (!redo.ok()) {
-      PROMPT_LOG(kWarn) << "in-window batch " << wr.batch_id
-                        << " unrecoverable: " << redo.status().ToString();
-      report->unrecoverable = true;
-      continue;
+void MicroBatchEngine::RecoverNodeLosses(Tenant& tenant, BatchReport* report) {
+  QueryContext& ctx = *tenant.ctx;
+  for (uint32_t node : tenant.pending_node_losses) {
+    report->recovered_from_failure = true;
+    // Replay every in-window batch whose reduce-bucket state lived on the
+    // dead node: recompute from replicated input and patch its window
+    // contribution.
+    for (size_t i = 0; i < ctx.window_state_nodes.size(); ++i) {
+      QueryContext::WindowReplica& wr = ctx.window_state_nodes[i];
+      if (wr.node != node) continue;
+      Result<BatchExecution> redo =
+          ReplayBatchFromStore(tenant, wr.batch_id, report);
+      if (!redo.ok()) {
+        PROMPT_LOG(kWarn) << "in-window batch " << wr.batch_id
+                          << " unrecoverable: " << redo.status().ToString();
+        report->unrecoverable = true;
+        continue;
+      }
+      Status st = ctx.window->ReplaceBatch(i, std::move(redo->output));
+      if (!st.ok()) {
+        PROMPT_LOG(kWarn) << "window patch failed for batch " << wr.batch_id
+                          << ": " << st.ToString();
+        continue;
+      }
+      wr.node = PickStateNode(wr.batch_id);  // re-home on a survivor
     }
-    Status st = query_->window->ReplaceBatch(i, std::move(redo->output));
-    if (!st.ok()) {
-      PROMPT_LOG(kWarn) << "window patch failed for batch " << wr.batch_id
-                        << ": " << st.ToString();
-      continue;
-    }
-    wr.node = PickStateNode(wr.batch_id);  // re-home on a survivor
+    // Re-replicate under-replicated batches back toward the target factor.
+    TopUpStoreReplication(tenant, report);
+    // Alg. 4 capacity feed: the controller sees the reduced cluster now,
+    // not d batches of degraded W later.
+    FeedCapacity(ctx);
   }
-  // Re-replicate under-replicated batches back toward the target factor.
-  TopUpStoreReplication(report);
-  // Alg. 4 capacity feed: the controller sees the reduced cluster now, not
-  // d batches of degraded W later.
-  if (query_->elastic != nullptr) {
-    query_->elastic->OnCapacityChange(cluster_->total_alive_cores());
-    query_->map_tasks = query_->elastic->map_tasks();
-    query_->reduce_tasks = query_->elastic->reduce_tasks();
-  }
+  tenant.pending_node_losses.clear();
 }
 
 Result<BatchExecution> MicroBatchEngine::ReplayBatchFromStore(
-    uint64_t batch_id, BatchReport* report) {
-  if (store_ == nullptr) return Status::Invalid("cluster mode disabled");
-  PROMPT_ASSIGN_OR_RETURN(PartitionedBatch replica, store_->Read(batch_id));
+    Tenant& tenant, uint64_t batch_id, BatchReport* report) {
+  if (tenant.store == nullptr) return Status::Invalid("cluster mode disabled");
+  PROMPT_ASSIGN_OR_RETURN(PartitionedBatch replica,
+                          tenant.store->Read(batch_id));
   // Alg. 2-flavoured re-plan: the replica's block count assumed the original
   // cluster; repack to at most the cores that survive.
-  const uint32_t cores = std::max<uint32_t>(1, cluster_->total_alive_cores());
+  const uint32_t cores = PoolCores();
   RepackBlocks(&replica, cores);
+  QueryContext& ctx = *tenant.ctx;
   BatchExecution redo =
-      query_->executor->Execute(replica, query_->reduce_tasks, cores, pool_.get());
+      ctx.executor->Execute(replica, ctx.reduce_tasks, cores, pool_.get());
   report->recovery_time += redo.map_makespan + redo.reduce_makespan;
   ++report->batches_replayed;
   return redo;
 }
 
-void MicroBatchEngine::TopUpStoreReplication(BatchReport* report) {
-  if (store_ == nullptr) return;
+void MicroBatchEngine::TopUpStoreReplication(Tenant& tenant,
+                                             BatchReport* report) {
+  if (tenant.store == nullptr) return;
   TopUpResult topup =
-      store_->TopUpReplication(options_.cluster.replication_factor);
+      tenant.store->TopUpReplication(options_.cluster.replication_factor);
   report->under_replicated_batches = topup.under_replicated;
   report->recovery_time += static_cast<TimeMicros>(
       options_.cost.replicate_per_kib_us *
@@ -631,245 +680,305 @@ bool MicroBatchEngine::ApplyTaskPerturbations(uint64_t batch_id,
 
 Result<std::vector<KV>> MicroBatchEngine::RecomputeBatchFromStore(
     uint64_t batch_id) {
-  if (store_ == nullptr) return Status::Invalid("cluster mode disabled");
-  PROMPT_ASSIGN_OR_RETURN(PartitionedBatch batch, store_->Read(batch_id));
-  BatchExecution redo = query_->executor->Execute(
-      batch, query_->reduce_tasks,
-      std::max<uint32_t>(1, cluster_->total_alive_cores()), pool_.get());
+  const Tenant& tenant = tenants_[0];
+  if (tenant.store == nullptr) return Status::Invalid("cluster mode disabled");
+  PROMPT_ASSIGN_OR_RETURN(PartitionedBatch batch, tenant.store->Read(batch_id));
+  BatchExecution redo = tenant.ctx->executor->Execute(
+      batch, tenant.ctx->reduce_tasks, PoolCores(), pool_.get());
   return std::move(redo.output);
 }
 
-RunSummary MicroBatchEngine::Run(uint32_t num_batches) {
-  run_started_ = true;
-  RunSummary summary;
-  if (crashed_) {
-    summary.crashed = true;
-    summary.crashed_at_batch = crashed_at_batch_;
-    return summary;
+template <typename Sink>
+void MicroBatchEngine::DrainUntil(TimeMicros end, Sink sink) {
+  auto consume = [&](const Tuple& t) {
+    // The flight-recorder tap: every consumed tuple, in consumption order,
+    // before fan-out or shard routing — replay re-forms identical batches
+    // from `ts < end` for every tenant at any shard count.
+    if (journal_ != nullptr) journal_->RecordTuple(t);
+    sink(t);
+  };
+  if (have_pending_ && pending_.ts < end) {
+    consume(pending_);
+    have_pending_ = false;
   }
-  summary.batches.reserve(num_batches);
+  if (have_pending_) return;
+  Tuple t;
+  while (source_->Next(&t)) {
+    if (t.ts >= end) {
+      pending_ = t;
+      have_pending_ = true;
+      return;
+    }
+    consume(t);
+  }
+}
+
+const AccumulatedBatch* MicroBatchEngine::Drain(TimeMicros start,
+                                                TimeMicros end) {
+  for (Tenant& tenant : tenants_) {
+    tenant.ctx->partitioner->Begin(tenant.ctx->map_tasks, start, end);
+  }
+  if (ingest_ != nullptr) {
+    // Sharded ingest accumulates once; each tenant seals from the merge.
+    ingest_->BeginBatch(start, end);
+    DrainUntil(end, [this](const Tuple& t) { ingest_->Ingest(t); });
+    return &ingest_->SealBatch();
+  }
+  if (tenants_.size() == 1 &&
+      tenants_[0].filter.kind == KeyFilter::Kind::kAll) {
+    // The fan-out below, reduced to its one target: no filter test or
+    // tenant loop per tuple on the single-query hot path.
+    BatchPartitioner* partitioner = tenants_[0].ctx->partitioner.get();
+    DrainUntil(end, [partitioner](const Tuple& t) { partitioner->OnTuple(t); });
+    return nullptr;
+  }
+  DrainUntil(end, [this](const Tuple& t) {
+    for (Tenant& tenant : tenants_) {
+      if (tenant.filter.Matches(t.key)) tenant.ctx->partitioner->OnTuple(t);
+    }
+  });
+  return nullptr;
+}
+
+PartitionedBatch MicroBatchEngine::Seal(Tenant& tenant,
+                                        const AccumulatedBatch* merged) {
+  QueryContext& ctx = *tenant.ctx;
+  if (merged == nullptr) return ctx.partitioner->Seal(ctx.next_batch_id++);
+  PartitionedBatch batch = SealMerged(ctx.partitioner.get(), *merged,
+                                      tenant.filter, ctx.next_batch_id++);
+  // The merge runs in the release slack alongside Alg. 2, on every tenant's
+  // critical path toward the heartbeat — account it as decision cost.
+  batch.partition_cost += ingest_->last_metrics().merge_latency;
+  return batch;
+}
+
+void MicroBatchEngine::Persist(uint32_t owner, const QueryContext& ctx,
+                               const PartitionedBatch& batch) {
+  if (Status st = durable_->Put(owner, batch.batch_id, EncodeBatch(batch));
+      !st.ok()) {
+    PROMPT_LOG(kWarn) << "tenant " << ctx.id()
+                      << ": durable append failed: " << st.ToString();
+  }
+  if (batch.batch_id >= ctx.window->depth()) {
+    if (Status st =
+            durable_->Evict(owner, batch.batch_id - ctx.window->depth());
+        !st.ok()) {
+      PROMPT_LOG(kWarn) << "tenant " << ctx.id()
+                        << ": durable evict failed: " << st.ToString();
+    }
+  }
+}
+
+void MicroBatchEngine::Observe(const Tenant& tenant, const BatchReport& report,
+                               TimeMicros interval, TimeMicros batch_start) {
+  BatchTrace trace;
+  if (obs_->tracing_active()) {
+    RecordBatchTrace(report, interval, batch_start);
+    trace = obs_->recorder()->EndBatch(report.num_tuples, report.num_keys,
+                                       report.latency);
+  }
+  obs_->OnBatchComplete(report, trace, tenant.stream);
+}
+
+std::vector<RunSummary> MicroBatchEngine::RunTenants(uint32_t num_batches) {
+  std::vector<RunSummary> summaries(tenants_.size());
+  auto mark_crashed = [&] {
+    for (RunSummary& summary : summaries) {
+      summary.crashed = true;
+      summary.crashed_at_batch = crashed_at_batch_;
+    }
+  };
+  if (crashed_) {
+    mark_crashed();
+    return summaries;
+  }
+  for (RunSummary& summary : summaries) summary.batches.reserve(num_batches);
   const bool observe = obs_->active();
   if (observe) obs_->OnRunStart(num_batches);
 
-  for (uint32_t i = 0; i < num_batches; ++i) {
+  for (uint32_t i = 0; i < num_batches && !crashed_; ++i) {
     const TimeMicros interval = current_interval_;
     const TimeMicros start = next_batch_start_;
     const TimeMicros end = start + interval;
     next_batch_start_ = end;
 
-    // --- Batching phase: accumulate this interval's tuples. ---
-    query_->partitioner->Begin(query_->map_tasks, start, end);
-    if (ingest_ != nullptr) ingest_->BeginBatch(start, end);
-    auto sink = [&](const Tuple& t) {
-      // The flight-recorder tap: every consumed tuple, in consumption
-      // order, before shard routing — replay re-forms identical batches
-      // from `ts < end` at any shard count.
-      if (journal_ != nullptr) journal_->RecordTuple(t);
-      if (ingest_ != nullptr) {
-        ingest_->Ingest(t);
-      } else {
-        query_->partitioner->OnTuple(t);
-      }
-    };
-    if (have_pending_ && pending_.ts < end) {
-      sink(pending_);
-      have_pending_ = false;
-    }
-    if (!have_pending_) {
-      Tuple t;
-      while (source_->Next(&t)) {
-        if (t.ts >= end) {
-          pending_ = t;
-          have_pending_ = true;
-          break;
-        }
-        sink(t);
-      }
-    }
+    // Weighted-fair shares of the core pool for this heartbeat — decided
+    // before any data is seen, from weights alone.
+    const std::vector<uint32_t> shares = scheduler_->AllocateSlots();
 
-    PartitionedBatch batch;
-    if (ingest_ != nullptr) {
-      const AccumulatedBatch& merged = ingest_->SealBatch();
-      if (!query_->partitioner->SealAccumulated(merged, query_->next_batch_id, &batch)) {
-        // No quasi-sorted fast path: replay the merged batch through the
-        // per-tuple interface in quasi-sorted order.
-        merged.Replay([](KeyId) { return true; },
-                      [&](const Tuple& t) { query_->partitioner->OnTuple(t); });
-        batch = query_->partitioner->Seal(query_->next_batch_id);
-      }
-      ++query_->next_batch_id;
-      // The merge runs in the release slack alongside Alg. 2, on the same
-      // critical path toward the heartbeat — account it as decision cost.
-      batch.partition_cost += ingest_->last_metrics().merge_latency;
-    } else {
-      batch = query_->partitioner->Seal(query_->next_batch_id++);
-    }
-
-    // Flight recorder: journal the sealed batch's tuples and wall-clock
-    // inputs *before* processing, so a crashed batch's stream is on record;
-    // under --replay the recorded inputs are injected here instead.
-    const BatchEnv batch_env = SettleBatchEnv(
-        options_.journal.inject, /*owner=*/0, &batch,
-        ingest_ != nullptr ? &ingest_->last_metrics() : nullptr);
+    // --- Batching phase: one drain of the shared source. ---
+    const AccumulatedBatch* merged = Drain(start, end);
+    // All tenants ride one heartbeat clock, so they share the batch id.
+    const uint64_t batch_id = tenants_[0].ctx->next_batch_id;
     if (journal_ != nullptr) {
-      if (Status st = journal_->AppendBatchTuples(batch.batch_id); !st.ok()) {
-        PROMPT_LOG(kWarn) << "journal: tuple append failed: " << st.ToString();
-      }
-      if (Status st = journal_->AppendEnv(0, batch_env); !st.ok()) {
-        PROMPT_LOG(kWarn) << "journal: env append failed: " << st.ToString();
-      }
+      // One tuple record per heartbeat, journaled *before* processing so a
+      // crashed batch's stream is on record.
+      WarnIfFailed(journal_->AppendBatchTuples(batch_id),
+                   "journal: tuple append");
     }
 
-    // --- Processing phase: starts at the heartbeat, or when the pipeline
-    // frees if earlier batches are still running (queueing). ---
-    const TimeMicros proc_start = std::max(end, query_->pipeline_free_at);
-    BatchReport report = ProcessBatch(std::move(batch), interval);
-    if (crashed_) {
-      // The process died inside this batch: its report is never published
-      // (no window contribution, no feedback) — exactly what an external
-      // SIGKILL leaves behind.
-      summary.crashed = true;
-      summary.crashed_at_batch = crashed_at_batch_;
-      // The journal is the observer of the crash, not its victim: flush so
-      // the crashed batch's tuples (already appended above) survive for
-      // replay. An external SIGKILL would lose the unsynced tail instead —
-      // and replay then runs exactly the published batches, consistently.
+    for (size_t t = 0; t < tenants_.size(); ++t) {
+      Tenant& tenant = tenants_[t];
+      QueryContext& ctx = *tenant.ctx;
+      RunSummary& summary = summaries[t];
+      const auto owner = static_cast<uint32_t>(t);
+
+      PartitionedBatch batch = Seal(tenant, merged);
+      // The batch's wall-clock inputs, settled after the merge-latency add
+      // so the recorded partition_cost is the final value a replay must
+      // reproduce; under --replay the recorded inputs are injected here.
+      const BatchEnv batch_env = SettleBatchEnv(
+          options_.journal.inject, owner, &batch,
+          ingest_ != nullptr ? &ingest_->last_metrics() : nullptr);
       if (journal_ != nullptr) {
-        if (Status st = journal_->Sync(); !st.ok()) {
-          PROMPT_LOG(kWarn) << "journal: crash flush failed: " << st.ToString();
-        }
+        WarnIfFailed(journal_->AppendEnv(owner, batch_env),
+                     "journal: env append");
       }
-      break;
-    }
-    report.queue_delay = proc_start - end;
-    query_->pipeline_free_at = proc_start + report.processing_time;
-    report.latency = query_->pipeline_free_at - start;
-    if (ingest_ != nullptr) {
-      // Fold the batching phase's per-shard stats into the report; this
-      // embedded form is the only way callers see per-shard ingest state.
-      report.ingest = ingest_->last_metrics();
-      report.has_ingest = true;
-      InjectIngestEnv(options_.journal.inject, /*owner=*/0, batch_env,
-                      &report);
-    }
-
-    // Fault-tolerance aggregates.
-    summary.batches_replayed += report.batches_replayed;
-    summary.tasks_retried += report.tasks_retried;
-    summary.tasks_speculated += report.tasks_speculated;
-    if (report.recovered_from_failure) ++summary.failures_recovered;
-    summary.total_recovery_time += report.recovery_time;
-    summary.max_recovery_time =
-        std::max(summary.max_recovery_time, report.recovery_time);
-    summary.data_loss |= report.unrecoverable;
-
-    // Stability accounting (back-pressure would engage past the bound).
-    if (static_cast<double>(report.queue_delay) >
-        options_.unstable_queue_intervals * static_cast<double>(interval)) {
-      summary.stable = false;
-      summary.unstable_at_batch =
-          std::min(summary.unstable_at_batch, report.batch_id);
-    }
-
-    // --- Feedback loops. ---
-    // Receiver estimates for Alg. 1 (N_est, K_avg).
-    query_->ObserveBatchEstimates(report.num_tuples, report.num_keys);
-    if (ingest_ != nullptr) {
-      ingest_->UpdateEstimates(static_cast<uint64_t>(query_->est_tuples),
-                               static_cast<uint64_t>(query_->est_keys));
-    }
-
-    // Batch resizing baseline [12]: step the next interval toward the
-    // fixed point processing_time = target * interval.
-    if (query_->resizer != nullptr) {
-      current_interval_ =
-          query_->resizer->OnBatchCompleted(interval, report.processing_time);
-    }
-
-    // Alg. 4 elasticity.
-    if (query_->elastic != nullptr) {
-      ScaleDecision d = query_->elastic->OnBatchCompleted(
-          report.w, report.num_tuples, report.num_keys);
-      (void)d;
-      query_->map_tasks = query_->elastic->map_tasks();
-      query_->reduce_tasks = query_->elastic->reduce_tasks();
-    }
-
-    if (observe) {
-      if (obs_->tracing_active()) {
-        RecordBatchTrace(report, interval, start);
-        obs_->OnBatchComplete(
-            report, obs_->recorder()->EndBatch(report.num_tuples,
-                                               report.num_keys,
-                                               report.latency));
-      } else {
-        obs_->OnBatchComplete(report, BatchTrace{});
+      // Without a cluster the store takes the sealed batch per owner here,
+      // before any stage runs; with one, ProcessBatch writes its BatchStore.
+      if (durable_ != nullptr && tenant.store == nullptr) {
+        Persist(owner, ctx, batch);
       }
-    }
 
-    // Telemetry → partitioning feedback (src/adapt/): the controller sees
-    // this batch's report and autopsy verdict; an approved switch is applied
-    // here — after Seal of this batch, before Begin of the next — so no
-    // in-flight batch ever mixes techniques.
-    if (query_->adapt != nullptr) {
-      const BatchAutopsy autopsy = ExplainBatch(report, options_.obs.autopsy);
-      const AdaptiveDecision decision =
-          query_->adapt->OnBatchCompleted(report, autopsy);
-      if (decision.switch_now) {
-        query_->ApplyTechniqueSwitch(decision);
-        summary.technique_switches.push_back(RunSummary::TechniqueSwitch{
-            report.batch_id, decision.from, decision.to, decision.reason});
-        if (std::string_view(decision.reason) == "skew") {
-          ++summary.technique_switches_up;
-        } else {
-          ++summary.technique_switches_down;
-        }
+      // --- Processing phase: starts at the heartbeat, or when this
+      // tenant's pipeline frees if its earlier batches still run. ---
+      const TimeMicros proc_start = std::max(end, ctx.pipeline_free_at);
+      BatchReport report =
+          ProcessBatch(tenant, std::move(batch), interval, shares[t]);
+      if (crashed_) {
+        // The process died inside this batch: its report is never published
+        // (no window contribution, no feedback) — exactly what an external
+        // SIGKILL leaves behind. The journal is the observer of the crash,
+        // not its victim: flush so the crashed batch's tuples (appended
+        // above) survive for replay.
         if (journal_ != nullptr) {
-          JournalSwitch js;
-          js.owner = 0;
-          js.after_batch = report.batch_id;
-          js.from = static_cast<int32_t>(decision.from);
-          js.to = static_cast<int32_t>(decision.to);
-          js.reason = decision.reason;
-          if (Status st = journal_->AppendSwitch(js); !st.ok()) {
-            PROMPT_LOG(kWarn) << "journal: switch append failed: "
-                              << st.ToString();
+          WarnIfFailed(journal_->Sync(), "journal: crash flush");
+        }
+        break;
+      }
+      report.queue_delay = proc_start - end;
+      ctx.pipeline_free_at = proc_start + report.processing_time;
+      report.latency = ctx.pipeline_free_at - start;
+      if (ingest_ != nullptr) {
+        // Fold the batching phase's per-shard stats into the report; this
+        // embedded form is the only way callers see per-shard ingest state.
+        report.ingest = ingest_->last_metrics();
+        report.has_ingest = true;
+        InjectIngestEnv(options_.journal.inject, owner, batch_env, &report);
+      }
+
+      // Fault-tolerance aggregates.
+      summary.batches_replayed += report.batches_replayed;
+      summary.tasks_retried += report.tasks_retried;
+      summary.tasks_speculated += report.tasks_speculated;
+      if (report.recovered_from_failure) ++summary.failures_recovered;
+      summary.total_recovery_time += report.recovery_time;
+      summary.max_recovery_time =
+          std::max(summary.max_recovery_time, report.recovery_time);
+      summary.data_loss |= report.unrecoverable;
+
+      // Stability accounting (back-pressure would engage past the bound).
+      if (static_cast<double>(report.queue_delay) >
+          options_.unstable_queue_intervals * static_cast<double>(interval)) {
+        summary.stable = false;
+        summary.unstable_at_batch =
+            std::min(summary.unstable_at_batch, report.batch_id);
+      }
+
+      // --- Feedback loops. ---
+      // The partitioner's Alg. 1 estimates (N_est, K_avg).
+      ctx.ObserveBatchEstimates(report.num_tuples, report.num_keys);
+      // Batch resizing baseline [12]: step the next interval toward the
+      // fixed point processing_time = target * interval.
+      if (ctx.resizer != nullptr) {
+        current_interval_ =
+            ctx.resizer->OnBatchCompleted(interval, report.processing_time);
+      }
+      // Alg. 4 elasticity.
+      if (ctx.elastic != nullptr) {
+        ctx.elastic->OnBatchCompleted(report.w, report.num_tuples,
+                                      report.num_keys);
+        ctx.map_tasks = ctx.elastic->map_tasks();
+        ctx.reduce_tasks = ctx.elastic->reduce_tasks();
+      }
+
+      if (t + 1 == tenants_.size() && durable_ != nullptr &&
+          options_.store.fsync == FsyncPolicy::kBatch) {
+        // The kBatch durability point, once every tenant's batch of this
+        // heartbeat is appended and before the last report is published:
+        // everything up to and including this heartbeat is on disk; a crash
+        // before it loses only the current batches' (torn) appends.
+        WarnIfFailed(durable_->Sync(), "durable sync");
+      }
+      if (observe) Observe(tenant, report, interval, start);
+
+      // The published batch's verdict: ExplainBatch is a pure function of
+      // the report, so computing it here costs nothing in determinism.
+      BatchAutopsy autopsy;
+      if (ctx.adapt != nullptr || journal_ != nullptr) {
+        autopsy = ExplainBatch(report, options_.obs.autopsy);
+      }
+      // Telemetry → partitioning feedback (src/adapt/): the controller sees
+      // this batch's report and verdict; an approved switch is applied here
+      // — after Seal of this batch, before Begin of the next — so no
+      // in-flight batch ever mixes techniques.
+      if (ctx.adapt != nullptr) {
+        const AdaptiveDecision decision =
+            ctx.adapt->OnBatchCompleted(report, autopsy);
+        if (decision.switch_now) {
+          ctx.ApplyTechniqueSwitch(decision);
+          summary.technique_switches.push_back(RunSummary::TechniqueSwitch{
+              report.batch_id, decision.from, decision.to, decision.reason});
+          if (std::string_view(decision.reason) == "skew") {
+            ++summary.technique_switches_up;
+          } else {
+            ++summary.technique_switches_down;
+          }
+          if (journal_ != nullptr) {
+            JournalSwitch js;
+            js.owner = owner;
+            js.after_batch = report.batch_id;
+            js.from = static_cast<int32_t>(decision.from);
+            js.to = static_cast<int32_t>(decision.to);
+            js.reason = decision.reason;
+            WarnIfFailed(journal_->AppendSwitch(js), "journal: switch append");
           }
         }
       }
+      if (journal_ != nullptr) {
+        // The published batch's fingerprint: signals, verdict, output hash.
+        WarnIfFailed(
+            journal_->AppendOutcome(owner, OutcomeFrom(report, autopsy)),
+            "journal: outcome append");
+      }
+      summary.batches.push_back(std::move(report));
     }
+    if (crashed_) break;
 
+    // The pipeline accumulated every tenant's tuples, so its Alg. 1
+    // estimates track the merged batch.
+    if (merged != nullptr) ingest_estimates_.Feed(*merged, ingest_.get());
     if (journal_ != nullptr) {
-      // The published batch's fingerprint: signals, verdict, output hash.
-      // ExplainBatch is a pure function of the report, so this recompute
-      // costs nothing in determinism even when the adaptive path already
-      // ran it.
-      const BatchAutopsy autopsy = ExplainBatch(report, options_.obs.autopsy);
-      if (Status st = journal_->AppendOutcome(0, OutcomeFrom(report, autopsy));
-          !st.ok()) {
-        PROMPT_LOG(kWarn) << "journal: outcome append failed: "
-                          << st.ToString();
-      }
-      if (Status st = journal_->SyncBatch(); !st.ok()) {
-        PROMPT_LOG(kWarn) << "journal: sync failed: " << st.ToString();
-      }
+      // Same cadence as the durable store: one journal durability point per
+      // heartbeat covers every tenant's records.
+      WarnIfFailed(journal_->SyncBatch(), "journal: sync");
     }
-
     if (HttpExporter* exporter = obs_->exporter(); exporter != nullptr) {
       HealthStatus health;
-      health.data_loss = durable_recovery_.data_loss || summary.data_loss;
-      health.init_status =
-          init_status_.ok() ? "ok" : init_status_.ToString();
-      health.last_batch_id = static_cast<int64_t>(report.batch_id);
+      health.data_loss = durable_recovery_.data_loss;
+      for (const RunSummary& summary : summaries) {
+        health.data_loss |= summary.data_loss;
+      }
+      health.init_status = init_status_.ok() ? "ok" : init_status_.ToString();
+      health.last_batch_id = static_cast<int64_t>(batch_id);
       health.journal_lag_bytes =
           journal_ != nullptr ? journal_->unsynced_bytes() : 0;
       exporter->UpdateHealth(health);
     }
-
-    summary.batches.push_back(report);
   }
+  if (crashed_) mark_crashed();
   if (observe) obs_->OnRunEnd();
-  return summary;
+  return summaries;
 }
 
 void MicroBatchEngine::RecordBatchTrace(const BatchReport& report,
@@ -879,7 +988,7 @@ void MicroBatchEngine::RecordBatchTrace(const BatchReport& report,
   rec->BeginBatch(report.batch_id, batch_start);
 
   // Depth-0 spans tile the end-to-end latency:
-  //   latency = interval + queue_delay + overflow + map + reduce (+ extras).
+  //   latency = interval + queue_delay + overflow + map + reduce (+ recovery).
   rec->AddSpan("accumulate", 0, interval, 0);
   if (report.technique_switched) {
     // Annotation marking the first batch the switched-to technique sealed.
@@ -941,36 +1050,27 @@ void MicroBatchEngine::RecordBatchTrace(const BatchReport& report,
   // pipeline — modeled as running after the ordinary stages.
   if (report.recovery_time > 0) {
     rec->AddSpan("recovery", cursor, report.recovery_time, 0);
-    cursor += report.recovery_time;
   }
-  // Extra queries sharing the batching phase extend processing sequentially.
-  const TimeMicros extras =
-      report.processing_time -
-      (report.partition_overflow + report.map_makespan +
-       report.reduce_makespan + report.recovery_time);
-  if (extras > 0) rec->AddSpan("extra_queries", cursor, extras, 0);
 }
 
 Status MicroBatchEngine::VerifyRecoveryOfLastBatch() {
   if (!options_.replicate_input) {
     return Status::Invalid("replication disabled; enable replicate_input");
   }
-  if (query_->last_replica == nullptr) {
+  const QueryContext& ctx = *tenants_[0].ctx;
+  if (ctx.last_replica == nullptr) {
     return Status::Invalid("no batch has been processed yet");
   }
   // Recompute from the replicated input blocks, exactly as the recovery
   // path would after losing the batch's state (§8) — over the cores that
   // are actually alive now, not the configured total: recovery after a node
   // loss runs on the shrunken cluster.
-  const uint32_t recovery_cores =
-      cluster_ != nullptr ? std::max<uint32_t>(1, cluster_->total_alive_cores())
-                          : options_.cores;
-  BatchExecution redo = query_->executor->Execute(*query_->last_replica, query_->reduce_tasks,
-                                           recovery_cores, pool_.get());
+  BatchExecution redo = ctx.executor->Execute(
+      *ctx.last_replica, ctx.reduce_tasks, PoolCores(), pool_.get());
   last_verify_recovery_cost_ = redo.map_makespan + redo.reduce_makespan;
   std::unordered_map<KeyId, double> original;
-  for (const KV& kv : query_->last_output) original[kv.key] = kv.value;
-  if (redo.output.size() != query_->last_output.size()) {
+  for (const KV& kv : ctx.last_output) original[kv.key] = kv.value;
+  if (redo.output.size() != ctx.last_output.size()) {
     return Status::Unknown("recomputed output cardinality mismatch");
   }
   for (const KV& kv : redo.output) {

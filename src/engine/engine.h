@@ -1,11 +1,12 @@
 // MicroBatchEngine: the distributed micro-batch stream-processing substrate
 // (a from-scratch Spark-Streaming-style engine) that hosts the partitioning
-// techniques under test.
+// techniques under test. One batch loop serves every registered query: each
+// heartbeat drains the source once, seals each query's batch, processes it
+// on the query's share of the cores, and journals and observes it.
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adapt/adaptive_controller.h"
@@ -22,9 +23,12 @@
 #include "ingest/pipeline.h"
 #include "obs/batch_report.h"
 #include "obs/observability.h"
+#include "query/multi_query.h"
 #include "replay/journal.h"
+#include "stats/ewma.h"
 #include "stats/metrics.h"
 #include "tenant/query_context.h"
+#include "tenant/tenant_scheduler.h"
 #include "workload/source.h"
 
 namespace prompt {
@@ -76,8 +80,9 @@ struct EngineOptions {
   /// Durable block store (src/store/): when store.dir is set the engine
   /// opens an append-only segment log under it, every sealed batch is
   /// logged before any stage runs, and a fresh engine over the same dir
-  /// recovers the surviving in-window batches on construction. Implies
-  /// cluster mode (the store backs the §8 BatchStore).
+  /// recovers the surviving in-window batches on construction. The
+  /// single-query constructor turns cluster mode on with it (the store
+  /// backs the §8 BatchStore).
   StoreOptions store;
   /// Flight recorder (src/replay/): when journal.dir is set the engine
   /// records everything needed to reproduce this run bit-identically — the
@@ -149,49 +154,113 @@ struct RunSummary {
                                     size_t warmup = 0) const;
 };
 
+/// The per-query slice of the engine options.
+QueryContextOptions QueryOptionsFrom(const EngineOptions& options);
+
+/// \brief One query the batch loop drives: the slice of the key space it
+/// consumes, its weight in the core pool and the labels its metrics and
+/// report stream carry (none for the single-query entry point).
+struct TenantSetup {
+  std::string id;
+  QueryContextOptions options;
+  JobSpec job;
+  std::unique_ptr<BatchPartitioner> partitioner;
+  KeyFilter filter;
+  uint32_t weight = 1;
+  MetricLabels labels;
+};
+
+/// \brief What the batch loop runs: the shared options, the tenants, and
+/// the manifest its journal records (each entry point writes its own list).
+struct EngineSetup {
+  EngineOptions options;
+  std::vector<TenantSetup> tenants;
+  JournalManifest manifest;
+};
+
+/// \brief The batch loop's seal step over a sharded pipeline's merged batch
+/// (StreamReceiver's too): the quasi-sorted fast path when the partitioner
+/// has one and `filter` takes every key, else the filter's slice replayed
+/// through OnTuple, then Seal.
+PartitionedBatch SealMerged(BatchPartitioner* partitioner,
+                            const AccumulatedBatch& merged,
+                            const KeyFilter& filter, uint64_t batch_id);
+
+/// \brief The Alg. 1 estimate feed of a sharded ingest pipeline (the batch
+/// loop's and StreamReceiver's): EWMAs (alpha = 0.4) of each merged batch's
+/// tuples and keys. In sketch mode num_keys() counts only promoted head
+/// runs; feeding that back would collapse K_avg toward 1, blow up the auto
+/// promote threshold (4 * N_est / K_avg) and lock the sketch out of
+/// promoting, so the HLL estimate stands in.
+class MergedBatchEstimates {
+ public:
+  /// Steps the EWMAs with `merged` and hands them to `pipeline` for its
+  /// next BeginBatch.
+  void Feed(const AccumulatedBatch& merged, ParallelIngestPipeline* pipeline);
+
+ private:
+  Ewma tuples_{0.4};
+  Ewma keys_{0.4};
+};
+
 /// \brief Ties together source → partitioner → executor → window, repeating
 /// the batching/processing pipeline with batching of batch x+1 overlapped
-/// with processing of batch x (paper Fig. 2).
+/// with processing of batch x (paper Fig. 2), for every registered query.
+///
+/// Each heartbeat: the scheduler divides the core pool by weight; the
+/// source drains once, fanning tuples out to each tenant whose filter
+/// matches (or into the shared sharded pipeline, merged once); then tenant
+/// by tenant the batch is sealed, journaled, persisted, processed on the
+/// tenant's share, fed back to its controllers, observed on its report
+/// stream and fingerprinted. Virtual time is per tenant
+/// (QueryContext::pipeline_free_at): one tenant's overflow queues behind
+/// its own share only.
 class MicroBatchEngine {
  public:
+  /// The single-query entry point: one KEYS-all tenant. A store implies
+  /// cluster mode here (the durable tier backs the §8 BatchStore).
   /// \param source not owned; must outlive the engine.
   MicroBatchEngine(EngineOptions options, JobSpec job,
                    std::unique_ptr<BatchPartitioner> partitioner,
                    TupleSource* source);
+  /// The loop over `setup.tenants` (at least one). Tenant i's durable
+  /// records and journal outcomes are namespaced by owner i. Without cluster
+  /// mode a store is written per owner directly; with it, through each
+  /// tenant's BatchStore. Fails into init_status() (e.g. a duplicate tenant
+  /// id, or more tenants than cores).
+  MicroBatchEngine(EngineSetup setup, TupleSource* source);
   ~MicroBatchEngine();
   PROMPT_DISALLOW_COPY_AND_ASSIGN(MicroBatchEngine);
 
-  /// Runs `num_batches` batch intervals and returns per-batch reports.
-  /// Callable repeatedly; state (window, clock, queue) carries over.
-  RunSummary Run(uint32_t num_batches);
+  /// Runs `num_batches` heartbeats; one summary per tenant, covering this
+  /// call's batches. Callable repeatedly; state (windows, clocks, queues)
+  /// carries over.
+  std::vector<RunSummary> RunTenants(uint32_t num_batches);
+  /// The first (for the single-query entry point, the only) tenant's part.
+  RunSummary Run(uint32_t num_batches) {
+    return std::move(RunTenants(num_batches).front());
+  }
+
+  size_t tenants() const { return tenants_.size(); }
+  /// Tenant `i`'s complete per-query state (window, technique, clocks).
+  const QueryContext& context(size_t i) const { return *tenants_[i].ctx; }
+  const TenantScheduler& scheduler() const { return *scheduler_; }
+
+  // ---- The first tenant's view (the single-query entry point's query).
 
   /// Current windowed query answer. Checkpoint() is available through this
   /// reference; restoring goes through RestoreWindow below.
-  const WindowState& window() const { return *query_->window; }
+  const WindowState& window() const { return *tenants_[0].ctx->window; }
 
   /// Replaces the window state from a WindowState::Checkpoint() blob (e.g.
   /// on planned restart). The checkpoint's window geometry must match.
   Status RestoreWindow(const std::string& checkpoint) {
-    return query_->window->Restore(checkpoint);
+    return tenants_[0].ctx->window->Restore(checkpoint);
   }
 
-  /// Registers an additional streaming query sharing this engine's batching
-  /// phase: the same partitioned blocks feed every query's Map/Reduce
-  /// pipeline sequentially (key-based partitioning is query-agnostic, so
-  /// batching work is done once). Must be called before the first Run.
-  /// Returns an id for QueryWindow().
-  Result<size_t> AddQuery(JobSpec job);
-
-  /// Windowed answer of an extra query registered with AddQuery.
-  Result<const WindowState*> QueryWindow(size_t query_id) const;
-
   /// Current parallelism (after any elastic scaling).
-  uint32_t map_tasks() const { return query_->map_tasks; }
-  uint32_t reduce_tasks() const { return query_->reduce_tasks; }
-
-  /// The per-query state bag this engine drives (the single-tenant fast
-  /// path: exactly one context, built in the constructor).
-  const QueryContext& query_context() const { return *query_; }
+  uint32_t map_tasks() const { return tenants_[0].ctx->map_tasks; }
+  uint32_t reduce_tasks() const { return tenants_[0].ctx->reduce_tasks; }
 
   /// §8 fault tolerance: recomputes the most recent batch from its
   /// replicated input blocks and verifies the recomputed output matches the
@@ -219,20 +288,22 @@ class MicroBatchEngine {
   Result<std::vector<KV>> RecomputeBatchFromStore(uint64_t batch_id);
 
   const SimulatedCluster* cluster() const { return cluster_.get(); }
-  const BatchStore* store() const { return store_.get(); }
+  const BatchStore* store() const { return tenants_[0].store.get(); }
 
   // ---- Durable store (options.store.dir non-empty) ----
 
   /// What the constructor recovered from the store directory.
   struct DurableRecovery {
-    /// In-window batches decoded, re-executed and re-admitted to the window.
+    /// In-window batches decoded, re-executed and re-admitted to the
+    /// windows, across all tenants.
     uint64_t batches_recovered = 0;
     uint64_t first_recovered_batch = UINT64_MAX;
     uint64_t last_recovered_batch = 0;
     /// Torn-tail records truncated away during the segment scan.
     uint64_t torn_records = 0;
-    /// True when the log showed evidence of dropped writes (torn tail):
-    /// the recovered window is complete only up to the fsync watermark.
+    /// True when the log showed evidence of dropped writes (torn tail or an
+    /// unreadable record): the recovered windows are complete only up to
+    /// the fsync watermark.
     bool data_loss = false;
   };
   const DurableRecovery& durable_recovery() const { return durable_recovery_; }
@@ -241,10 +312,11 @@ class MicroBatchEngine {
   /// The flight recorder (null unless options.journal.dir is set).
   const JournalWriter* journal() const { return journal_.get(); }
 
-  /// Not-OK when the constructor could not deliver something the options
-  /// demanded — today: a requested durable store that failed to open (the
-  /// engine then runs memory-only and data_loss is set). Callers that rely
-  /// on durability must check this before the first Run.
+  /// Not-OK when the constructor could not deliver something the setup
+  /// demanded: tenants the scheduler rejects, a requested durable store
+  /// that failed to open (the engine then runs memory-only, unrecorded, and
+  /// data_loss is set) or a journal that failed to open. Callers must
+  /// check this before the first Run.
   const Status& init_status() const { return init_status_; }
 
   /// True once a `crash:` fault fired; the engine refuses further Runs
@@ -263,61 +335,96 @@ class MicroBatchEngine {
   void AddObserver(Observer* observer) { obs_->AddObserver(observer); }
 
  private:
-  BatchReport ProcessBatch(PartitionedBatch batch, TimeMicros interval);
+  struct Tenant {
+    std::unique_ptr<QueryContext> ctx;
+    KeyFilter filter;
+    Observability::Stream* stream = nullptr;
+    /// Cluster mode: the tenant's replicated batches (§8), over the shared
+    /// cluster and, with a store, logged under the tenant's owner id.
+    std::unique_ptr<BatchStore> store;
+    /// Nodes lost since this tenant last ran; recovered at its next batch
+    /// boundary (the failure-detection point).
+    std::vector<uint32_t> pending_node_losses;
+  };
+
+  /// Begins every tenant's batch and drains the source up to `end`; returns
+  /// the sharded pipeline's merged batch, or null when tuples went straight
+  /// into the partitioners.
+  const AccumulatedBatch* Drain(TimeMicros start, TimeMicros end);
+  /// Feeds `sink` every source tuple with ts < end, each through the
+  /// journal tap first.
+  template <typename Sink>
+  void DrainUntil(TimeMicros end, Sink sink);
+  PartitionedBatch Seal(Tenant& tenant, const AccumulatedBatch* merged);
+  /// The cluster-free store path: logs a sealed batch under `owner` before
+  /// any stage runs and drops the record leaving the window.
+  void Persist(uint32_t owner, const QueryContext& ctx,
+               const PartitionedBatch& batch);
+  BatchReport ProcessBatch(Tenant& tenant, PartitionedBatch batch,
+                           TimeMicros interval, uint32_t share);
+  /// Publishes a report (and its trace) on the tenant's stream.
+  void Observe(const Tenant& tenant, const BatchReport& report,
+               TimeMicros interval, TimeMicros batch_start);
   /// Lays the batch's timeline spans into the trace recorder (tracing only).
   void RecordBatchTrace(const BatchReport& report, TimeMicros interval,
                         TimeMicros batch_start);
+  /// The cores a tenant's stages run on: its scheduler share of the pool,
+  /// which in cluster mode is the cores alive now.
+  uint32_t CoresFor(uint32_t share) const;
+  /// The whole pool: the configured cores, or the alive cluster cores.
+  uint32_t PoolCores() const;
 
   // ---- In-loop fault handling (src/fault/) ----
   /// Node ids currently alive (empty outside cluster mode).
   std::vector<uint32_t> AliveNodes() const;
   /// Deterministic alive node chosen to host a batch's reduce-bucket state.
   uint32_t PickStateNode(uint64_t batch_id) const;
+  /// Records which alive node hosts `batch_id`'s reduce-bucket state,
+  /// mirroring the window's retained history.
+  void TrackStateNode(QueryContext& ctx, uint64_t batch_id);
+  /// Feeds the alive cluster capacity to the query's elastic controller.
+  void FeedCapacity(QueryContext& ctx);
+  /// A node died: every tenant's replica copies on it are gone, and every
+  /// tenant recovers from the loss at its next batch boundary.
+  void LoseNode(uint32_t node);
   /// Applies the injector's kill/revive events scheduled at `point`; kills
-  /// run the full §8 recovery routine. Returns true when a kill fired.
-  bool PollFaults(uint64_t batch_id, FaultPoint point, BatchReport* report);
-  /// §8 recovery after `node` died: drop its replica copies, replay
-  /// in-window batches whose bucket state lived there, top up replication,
-  /// and feed the reduced capacity to the elastic controller.
-  void RecoverFromNodeLoss(uint32_t node, BatchReport* report);
+  /// run the full §8 recovery routine for `tenant` now. Returns true when a
+  /// kill fired.
+  bool PollFaults(Tenant& tenant, uint64_t batch_id, FaultPoint point,
+                  BatchReport* report);
+  /// §8 recovery of `tenant` from its pending node losses: replay in-window
+  /// batches whose bucket state lived there, top up replication, and feed
+  /// the reduced capacity to the elastic controller.
+  void RecoverNodeLosses(Tenant& tenant, BatchReport* report);
   /// Re-executes one batch from surviving store replicas on the currently
   /// alive cores (input repacked to fit, Alg. 2 style). Charges the redo to
   /// report->recovery_time and counts it in batches_replayed.
-  Result<BatchExecution> ReplayBatchFromStore(uint64_t batch_id,
+  Result<BatchExecution> ReplayBatchFromStore(Tenant& tenant,
+                                              uint64_t batch_id,
                                               BatchReport* report);
   /// Re-replicates under-replicated batches toward the configured factor and
   /// charges the copy traffic to report->recovery_time.
-  void TopUpStoreReplication(BatchReport* report);
+  void TopUpStoreReplication(Tenant& tenant, BatchReport* report);
   /// Injected per-task delays/failures for this batch: applies the bounded
   /// retry policy and speculative re-execution to the map-task costs.
   /// Returns true when some task exhausted its retry budget (the batch must
   /// be replayed from replicated input).
   bool ApplyTaskPerturbations(uint64_t batch_id, uint32_t map_cores,
                               BatchExecution* exec, BatchReport* report);
+  /// Replays surviving batches from the durable log into the windows.
+  void RecoverFromDurableStore();
 
   EngineOptions options_;
-  JobSpec job_;
   TupleSource* source_;
-  /// All per-query mutable state: the live partitioner, window, elasticity /
-  /// resizing / adaptive controllers, EWMA estimates, replication
-  /// bookkeeping. The engine drives exactly one context; the multi-tenant
-  /// scheduler (src/tenant/) drives N of them over one shared ingest.
-  std::unique_ptr<QueryContext> query_;
+  std::unique_ptr<Observability> obs_;
+  std::unique_ptr<TenantScheduler> scheduler_;
+  /// Every query's mutable state, tenant-indexed (= store/journal owner).
+  std::vector<Tenant> tenants_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<SimulatedCluster> cluster_;
-  std::unique_ptr<BatchStore> store_;
   std::unique_ptr<DurableBlockStore> durable_;
-  std::unique_ptr<ParallelIngestPipeline> ingest_;  // ingest.shards > 1
-  std::unique_ptr<Observability> obs_;
-
-  // Extra queries sharing the batching phase (AddQuery).
-  struct ExtraQuery {
-    JobSpec job;
-    std::unique_ptr<BatchExecutor> executor;
-    std::unique_ptr<WindowState> window;
-  };
-  std::vector<ExtraQuery> extra_queries_;
-  bool run_started_ = false;
+  std::unique_ptr<ParallelIngestPipeline> ingest_;  // shards > 1 or sketch
+  MergedBatchEstimates ingest_estimates_;
 
   TimeMicros current_interval_ = 0;
   TimeMicros next_batch_start_ = 0;
@@ -326,14 +433,7 @@ class MicroBatchEngine {
 
   TimeMicros last_verify_recovery_cost_ = 0;
 
-  // ---- Fault-injection / recovery state (cluster mode) ----
   std::unique_ptr<FaultInjector> fault_;
-  /// Nodes killed through the public KillNode API whose recovery runs at the
-  /// next batch boundary (the engine's failure-detection point).
-  std::vector<uint32_t> pending_node_losses_;
-
-  /// Replays surviving batches from the durable log into the window (ctor).
-  void RecoverFromDurableStore();
 
   // ---- Flight recorder (src/replay/) ----
   std::unique_ptr<JournalWriter> journal_;

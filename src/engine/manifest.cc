@@ -41,7 +41,8 @@ void SingleFields(ManifestVisitor& v, Run& run) {
   v("elasticity.max_map_tasks", e.max_map_tasks, AtLeast(e.min_map_tasks));
   v("elasticity.max_reduce_tasks", e.max_reduce_tasks,
     AtLeast(e.min_reduce_tasks));
-  v("elasticity.trend_lookback", e.trend_lookback);
+  // The trend history holds lookback + 1 points.
+  v("elasticity.trend_lookback", e.trend_lookback, Range{0, 1e6});
   auto& a = o.adapt;
   v("adapt.enabled", a.enabled);
   v("adapt.d", a.d, AtLeast(1));

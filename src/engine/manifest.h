@@ -30,6 +30,11 @@ struct Range {
   double hi = std::numeric_limits<double>::infinity();
 };
 inline Range AtLeast(double lo) { return Range{lo}; }
+/// A modeled cost coefficient: at most one second per task, tuple, key,
+/// cluster or KiB (the partition-cost scale is a factor under the same
+/// cap). A batch of up to 2^41 tuples then models under 2^63 µs, so every
+/// cast of a modeled duration to TimeMicros stays defined.
+inline constexpr Range kCostRange{0, 1e6};
 
 // ---- Value codecs. FormatValue gives a value's manifest text; ParseValue
 // reads text back into the type or fails. A read value must also format
@@ -195,14 +200,14 @@ class ManifestVisitor {
 
 template <typename Cost>
 void CostFields(ManifestVisitor& v, Cost& c) {
-  v("cost.map_task_fixed_us", c.map_task_fixed_us);
-  v("cost.map_per_tuple_us", c.map_per_tuple_us);
-  v("cost.map_per_key_us", c.map_per_key_us);
-  v("cost.reduce_task_fixed_us", c.reduce_task_fixed_us);
-  v("cost.reduce_per_tuple_us", c.reduce_per_tuple_us);
-  v("cost.reduce_per_cluster_us", c.reduce_per_cluster_us);
-  v("cost.partition_cost_scale", c.partition_cost_scale);
-  v("cost.replicate_per_kib_us", c.replicate_per_kib_us);
+  v("cost.map_task_fixed_us", c.map_task_fixed_us, kCostRange);
+  v("cost.map_per_tuple_us", c.map_per_tuple_us, kCostRange);
+  v("cost.map_per_key_us", c.map_per_key_us, kCostRange);
+  v("cost.reduce_task_fixed_us", c.reduce_task_fixed_us, kCostRange);
+  v("cost.reduce_per_tuple_us", c.reduce_per_tuple_us, kCostRange);
+  v("cost.reduce_per_cluster_us", c.reduce_per_cluster_us, kCostRange);
+  v("cost.partition_cost_scale", c.partition_cost_scale, kCostRange);
+  v("cost.replicate_per_kib_us", c.replicate_per_kib_us, kCostRange);
 }
 
 template <typename Adapt>

@@ -55,26 +55,29 @@ Result<ReceivedBatch> StreamReceiver::NextBatch(uint32_t num_blocks) {
       end - static_cast<TimeMicros>(options_.early_release_frac *
                                     static_cast<double>(options_.batch_interval));
 
-  if (pipeline_ != nullptr) {
-    return NextBatchSharded(num_blocks, start, end, cutoff);
-  }
-
   partitioner_->Begin(num_blocks, start, end);
+  if (pipeline_ != nullptr) pipeline_->BeginBatch(start, end);
+  auto ingest = [&](const Tuple& t) {
+    if (pipeline_ != nullptr) {
+      pipeline_->Ingest(t);
+    } else {
+      partitioner_->OnTuple(t);
+    }
+  };
   uint64_t deferred = 0;
 
+  // A pending tuple of a future batch leaves this interval's batch empty;
+  // it is still sealed, so the per-batch state machine stays in lockstep.
+  bool drain = true;
   if (have_pending_) {
     if (pending_.ts < cutoff) {
-      partitioner_->OnTuple(pending_);
+      ingest(pending_);
       have_pending_ = false;
     } else if (pending_.ts >= end) {
-      // Still belongs to a future batch: emit an empty batch for this
-      // interval without consuming it.
-      ReceivedBatch out;
-      out.batch = partitioner_->Seal(next_batch_id_++);
-      return out;
+      drain = false;
     }
   }
-  while (!have_pending_ || pending_.ts < end) {
+  while (drain && (!have_pending_ || pending_.ts < end)) {
     if (have_pending_ && pending_.ts >= cutoff) {
       // Arrived in the slack window: counts as deferred but still consumed
       // into the *next* batch, so hold it.
@@ -90,97 +93,22 @@ Result<ReceivedBatch> StreamReceiver::NextBatch(uint32_t num_blocks) {
     if (item->ts >= cutoff) {
       pending_ = *item;
       have_pending_ = true;
-      if (item->ts >= cutoff && item->ts < end) {
-        ++deferred;
-      }
-      break;
-    }
-    partitioner_->OnTuple(*item);
-  }
-
-  ReceivedBatch out;
-  out.batch = partitioner_->Seal(next_batch_id_++);
-  out.deferred_tuples = deferred;
-  return out;
-}
-
-Result<ReceivedBatch> StreamReceiver::NextBatchSharded(uint32_t num_blocks,
-                                                       TimeMicros start,
-                                                       TimeMicros end,
-                                                       TimeMicros cutoff) {
-  partitioner_->Begin(num_blocks, start, end);
-  pipeline_->BeginBatch(start, end);
-  uint64_t deferred = 0;
-
-  // Same drain loop as the single-threaded path, with the pipeline's shard
-  // router as the sink. An already-pending future-batch tuple simply leaves
-  // the pipeline batch empty; the seal/merge still runs so the per-batch
-  // state machine stays in lockstep.
-  bool drain = true;
-  if (have_pending_) {
-    if (pending_.ts < cutoff) {
-      pipeline_->Ingest(pending_);
-      have_pending_ = false;
-    } else if (pending_.ts >= end) {
-      drain = false;
-    }
-  }
-  while (drain && (!have_pending_ || pending_.ts < end)) {
-    if (have_pending_ && pending_.ts >= cutoff) {
-      ++deferred;
-      break;
-    }
-    auto item = queue_.Pop();
-    if (!item.has_value()) {
-      stopped_.store(true);
-      break;
-    }
-    if (item->ts >= cutoff) {
-      pending_ = *item;
-      have_pending_ = true;
       if (item->ts < end) ++deferred;
       break;
     }
-    pipeline_->Ingest(*item);
+    ingest(*item);
   }
-
-  const AccumulatedBatch& merged = pipeline_->SealBatch();
 
   ReceivedBatch out;
-  if (!partitioner_->SealAccumulated(merged, next_batch_id_, &out.batch)) {
-    // Technique without a quasi-sorted fast path: replay the merged batch in
-    // quasi-sorted order through the regular per-tuple interface. Online
-    // techniques are order-insensitive apart from tie-breaking, so this
-    // preserves their semantics.
-    merged.Replay([](KeyId) { return true; },
-                  [&](const Tuple& t) { partitioner_->OnTuple(t); });
-    out.batch = partitioner_->Seal(next_batch_id_);
-  }
-  ++next_batch_id_;
   out.deferred_tuples = deferred;
-
-  // EWMA feedback for the per-shard Alg. 1 scaling (mirrors the engine's
-  // alpha = 0.4 receiver estimates). In sketch mode num_keys() counts only
-  // promoted head runs — feeding that back would collapse K_avg toward 1,
-  // blow up the auto promote threshold (4 * N_est / K_avg) and lock the
-  // sketch out of ever promoting again; the HLL estimate is the honest
-  // cardinality signal there.
-  constexpr double kAlpha = 0.4;
-  const double tuples = static_cast<double>(merged.num_tuples());
-  const double keys = static_cast<double>(
-      merged.stats().sketch_mode
-          ? std::max(merged.num_keys(), merged.stats().distinct_estimate)
-          : merged.num_keys());
-  if (!est_init_) {
-    est_tuples_ = tuples;
-    est_keys_ = keys;
-    est_init_ = true;
-  } else {
-    est_tuples_ = kAlpha * tuples + (1 - kAlpha) * est_tuples_;
-    est_keys_ = kAlpha * keys + (1 - kAlpha) * est_keys_;
+  if (pipeline_ == nullptr) {
+    out.batch = partitioner_->Seal(next_batch_id_++);
+    return out;
   }
-  pipeline_->UpdateEstimates(static_cast<uint64_t>(est_tuples_),
-                             static_cast<uint64_t>(est_keys_));
+  // Sealed and fed back exactly as the engine's batch loop does it.
+  const AccumulatedBatch& merged = pipeline_->SealBatch();
+  out.batch = SealMerged(partitioner_, merged, KeyFilter{}, next_batch_id_++);
+  estimates_.Feed(merged, pipeline_.get());
   return out;
 }
 

@@ -13,6 +13,7 @@
 #include "common/queue.h"
 #include "common/result.h"
 #include "core/partitioner.h"
+#include "engine/engine.h"
 #include "ingest/pipeline.h"
 #include "workload/source.h"
 
@@ -85,11 +86,6 @@ class StreamReceiver {
 
  private:
   void ProducerLoop();
-  /// Sharded-path batch body: routes to the pipeline, seals, merges and
-  /// hands the merged batch to the partitioner.
-  Result<ReceivedBatch> NextBatchSharded(uint32_t num_blocks,
-                                         TimeMicros start, TimeMicros end,
-                                         TimeMicros cutoff);
 
   TupleSource* source_;
   BatchPartitioner* partitioner_;
@@ -104,9 +100,7 @@ class StreamReceiver {
   bool have_pending_ = false;
   Tuple pending_{};
   // Receiver-side EWMA estimates feeding the pipeline's shard budgets.
-  bool est_init_ = false;
-  double est_tuples_ = 0;
-  double est_keys_ = 0;
+  MergedBatchEstimates estimates_;
 };
 
 }  // namespace prompt

@@ -20,6 +20,9 @@ struct BatchReport {
   uint64_t num_keys = 0;
   uint32_t map_tasks = 0;
   uint32_t reduce_tasks = 0;
+  /// Cores the batch's query was granted this heartbeat: its weighted-fair
+  /// share of the pool (the whole pool for a single query).
+  uint32_t slots = 0;
   TimeMicros partition_cost = 0;      ///< measured partitioner decision time
   TimeMicros partition_overflow = 0;  ///< part exceeding the release slack
   TimeMicros map_makespan = 0;

@@ -2,6 +2,18 @@
 
 namespace prompt {
 
+namespace {
+
+TimeSeriesOptions TimeSeriesOf(const ObservabilityOptions& options) {
+  TimeSeriesOptions ts;
+  ts.capacity = options.timeseries_capacity;
+  ts.window = options.timeseries_window;
+  ts.ewma_alpha = options.timeseries_alpha;
+  return ts;
+}
+
+}  // namespace
+
 Observability::Observability(ObservabilityOptions options)
     : options_(std::move(options)) {
   if (options_.metrics_every > 0) options_.metrics_enabled = true;
@@ -13,17 +25,9 @@ Observability::Observability(ObservabilityOptions options)
     if (options_.timeseries_capacity == 0) options_.timeseries_capacity = 1024;
   }
 
-  if (options_.metrics_enabled) {
-    registry_ = std::make_unique<MetricsRegistry>();
-    batches_total_ = registry_->GetCounter("prompt_batches_total");
-    tuples_total_ = registry_->GetCounter("prompt_tuples_total");
-    latency_us_ = registry_->GetHistogram("prompt_batch_latency_us");
-    queue_us_ = registry_->GetHistogram("prompt_batch_queue_us");
-    partition_cost_us_ = registry_->GetHistogram("prompt_partition_cost_us");
-    w_gauge_ = registry_->GetGauge("prompt_batch_w");
-    map_tasks_gauge_ = registry_->GetGauge("prompt_map_tasks");
-    reduce_tasks_gauge_ = registry_->GetGauge("prompt_reduce_tasks");
-  }
+  if (options_.metrics_enabled) registry_ = std::make_unique<MetricsRegistry>();
+  streams_.push_back(std::make_unique<Stream>());
+  BindStream(streams_.front().get());
 
   if (!options_.trace_path.empty()) {
     auto sink = FileTraceSink::Open(options_.trace_path);
@@ -53,15 +57,12 @@ Observability::Observability(ObservabilityOptions options)
   }
 
   if (options_.timeseries_capacity > 0) {
-    TimeSeriesOptions ts;
-    ts.capacity = options_.timeseries_capacity;
-    ts.window = options_.timeseries_window;
-    ts.ewma_alpha = options_.timeseries_alpha;
-    timeseries_ = std::make_unique<TimeSeriesStore>(ts);
+    streams_.front()->timeseries =
+        std::make_unique<TimeSeriesStore>(TimeSeriesOf(options_));
   }
   if (options_.serve_port >= 0) {
     exporter_ =
-        std::make_unique<HttpExporter>(registry_.get(), timeseries_.get());
+        std::make_unique<HttpExporter>(registry_.get(), timeseries());
     Status started =
         exporter_->Start(static_cast<uint16_t>(options_.serve_port));
     if (!started.ok()) {
@@ -77,6 +78,41 @@ Observability::~Observability() {
   for (auto& sink : report_sinks_) sink->Flush();
   if (metrics_file_ != nullptr) metrics_file_->Flush();
   if (autopsy_file_ != nullptr) autopsy_file_->Flush();
+}
+
+void Observability::BindStream(Stream* stream) {
+  if (registry_ == nullptr) return;
+  const MetricLabels& labels = stream->labels;
+  stream->batches_total = registry_->GetCounter("prompt_batches_total", labels);
+  stream->tuples_total = registry_->GetCounter("prompt_tuples_total", labels);
+  stream->latency_us =
+      registry_->GetHistogram("prompt_batch_latency_us", labels);
+  stream->queue_us = registry_->GetHistogram("prompt_batch_queue_us", labels);
+  stream->partition_cost_us =
+      registry_->GetHistogram("prompt_partition_cost_us", labels);
+  stream->w_gauge = registry_->GetGauge("prompt_batch_w", labels);
+  stream->map_tasks_gauge = registry_->GetGauge("prompt_map_tasks", labels);
+  stream->reduce_tasks_gauge =
+      registry_->GetGauge("prompt_reduce_tasks", labels);
+  if (!labels.empty()) {
+    stream->slots_gauge = registry_->GetGauge("prompt_tenant_slots", labels);
+  }
+}
+
+Observability::Stream* Observability::AddStream(const MetricLabels& labels) {
+  if (labels.empty()) return streams_.front().get();
+  auto stream = std::make_unique<Stream>();
+  stream->labels = labels;
+  BindStream(stream.get());
+  if (options_.timeseries_capacity > 0) {
+    stream->timeseries =
+        std::make_unique<TimeSeriesStore>(TimeSeriesOf(options_));
+    if (exporter_ != nullptr) {
+      exporter_->AddTimeSeries(labels.front().second, stream->timeseries.get());
+    }
+  }
+  streams_.push_back(std::move(stream));
+  return streams_.back().get();
 }
 
 void Observability::AddTraceSink(std::unique_ptr<TraceSink> sink) {
@@ -98,45 +134,52 @@ void Observability::OnRunStart(uint32_t num_batches) {
 
 void Observability::OnBatchComplete(const BatchReport& report,
                                     const BatchTrace& trace) {
+  OnBatchComplete(report, trace, streams_.front().get());
+}
+
+void Observability::OnBatchComplete(const BatchReport& report,
+                                    const BatchTrace& trace, Stream* stream) {
   if (registry_ != nullptr) {
-    batches_total_->Increment();
-    tuples_total_->Increment(report.num_tuples);
-    latency_us_->Observe(static_cast<double>(report.latency));
-    queue_us_->Observe(static_cast<double>(report.queue_delay));
-    partition_cost_us_->Observe(static_cast<double>(report.partition_cost));
-    w_gauge_->Set(report.w);
-    map_tasks_gauge_->Set(report.map_tasks);
-    reduce_tasks_gauge_->Set(report.reduce_tasks);
+    Stream& s = *stream;
+    const MetricLabels& labels = s.labels;
+    s.batches_total->Increment();
+    s.tuples_total->Increment(report.num_tuples);
+    s.latency_us->Observe(static_cast<double>(report.latency));
+    s.queue_us->Observe(static_cast<double>(report.queue_delay));
+    s.partition_cost_us->Observe(static_cast<double>(report.partition_cost));
+    s.w_gauge->Set(report.w);
+    s.map_tasks_gauge->Set(report.map_tasks);
+    s.reduce_tasks_gauge->Set(report.reduce_tasks);
+    if (s.slots_gauge != nullptr) s.slots_gauge->Set(report.slots);
     if (report.has_ingest) {
-      // Registered lazily: most runs never shard the ingest phase.
-      if (shard_imbalance_gauge_ == nullptr) {
-        shard_imbalance_gauge_ =
-            registry_->GetGauge("prompt_ingest_shard_imbalance");
-        ring_occupancy_gauge_ =
-            registry_->GetGauge("prompt_ingest_ring_occupancy_frac");
-        merge_us_ = registry_->GetHistogram("prompt_ingest_merge_us");
-        seal_barrier_us_ =
-            registry_->GetHistogram("prompt_ingest_seal_barrier_us");
+      if (s.shard_imbalance_gauge == nullptr) {
+        s.shard_imbalance_gauge =
+            registry_->GetGauge("prompt_ingest_shard_imbalance", labels);
+        s.ring_occupancy_gauge =
+            registry_->GetGauge("prompt_ingest_ring_occupancy_frac", labels);
+        s.merge_us = registry_->GetHistogram("prompt_ingest_merge_us", labels);
+        s.seal_barrier_us =
+            registry_->GetHistogram("prompt_ingest_seal_barrier_us", labels);
       }
-      shard_imbalance_gauge_->Set(ShardLoadImbalance(report.ingest));
-      ring_occupancy_gauge_->Set(MaxRingOccupancyFrac(report.ingest));
-      merge_us_->Observe(static_cast<double>(report.ingest.merge_latency));
-      seal_barrier_us_->Observe(
+      s.shard_imbalance_gauge->Set(ShardLoadImbalance(report.ingest));
+      s.ring_occupancy_gauge->Set(MaxRingOccupancyFrac(report.ingest));
+      s.merge_us->Observe(static_cast<double>(report.ingest.merge_latency));
+      s.seal_barrier_us->Observe(
           static_cast<double>(report.ingest.seal_barrier_latency));
     }
     if (report.sketch.sketch_mode) {
-      // Registered lazily: most runs use exact key tracking.
-      if (head_coverage_gauge_ == nullptr) {
-        head_coverage_gauge_ =
-            registry_->GetGauge("prompt_sketch_head_coverage");
-        sketch_error_gauge_ =
-            registry_->GetGauge("prompt_sketch_error_frac");
-        promoted_keys_gauge_ =
-            registry_->GetGauge("prompt_sketch_promoted_keys");
+      if (s.head_coverage_gauge == nullptr) {
+        s.head_coverage_gauge =
+            registry_->GetGauge("prompt_sketch_head_coverage", labels);
+        s.sketch_error_gauge =
+            registry_->GetGauge("prompt_sketch_error_frac", labels);
+        s.promoted_keys_gauge =
+            registry_->GetGauge("prompt_sketch_promoted_keys", labels);
       }
-      head_coverage_gauge_->Set(report.sketch.head_coverage());
-      sketch_error_gauge_->Set(report.sketch.error_frac);
-      promoted_keys_gauge_->Set(static_cast<double>(report.sketch.promoted_keys));
+      s.head_coverage_gauge->Set(report.sketch.head_coverage());
+      s.sketch_error_gauge->Set(report.sketch.error_frac);
+      s.promoted_keys_gauge->Set(
+          static_cast<double>(report.sketch.promoted_keys));
     }
     const bool did_recovery = report.batches_replayed > 0 ||
                               report.tasks_retried > 0 ||
@@ -144,31 +187,32 @@ void Observability::OnBatchComplete(const BatchReport& report,
                               report.under_replicated_batches > 0 ||
                               report.recovery_time > 0;
     if (did_recovery) {
-      // Registered lazily: most runs never inject or see a failure.
-      if (batches_replayed_total_ == nullptr) {
-        batches_replayed_total_ =
-            registry_->GetCounter("prompt_batches_replayed_total");
-        tasks_retried_total_ =
-            registry_->GetCounter("prompt_tasks_retried_total");
-        tasks_speculated_total_ =
-            registry_->GetCounter("prompt_tasks_speculated_total");
-        under_replicated_gauge_ =
-            registry_->GetGauge("prompt_under_replicated_batches");
-        recovery_us_ = registry_->GetHistogram("prompt_recovery_us");
+      if (s.batches_replayed_total == nullptr) {
+        s.batches_replayed_total =
+            registry_->GetCounter("prompt_batches_replayed_total", labels);
+        s.tasks_retried_total =
+            registry_->GetCounter("prompt_tasks_retried_total", labels);
+        s.tasks_speculated_total =
+            registry_->GetCounter("prompt_tasks_speculated_total", labels);
+        s.under_replicated_gauge =
+            registry_->GetGauge("prompt_under_replicated_batches", labels);
+        s.recovery_us = registry_->GetHistogram("prompt_recovery_us", labels);
       }
-      batches_replayed_total_->Increment(report.batches_replayed);
-      tasks_retried_total_->Increment(report.tasks_retried);
-      tasks_speculated_total_->Increment(report.tasks_speculated);
-      under_replicated_gauge_->Set(report.under_replicated_batches);
-      recovery_us_->Observe(static_cast<double>(report.recovery_time));
+      s.batches_replayed_total->Increment(report.batches_replayed);
+      s.tasks_retried_total->Increment(report.tasks_retried);
+      s.tasks_speculated_total->Increment(report.tasks_speculated);
+      s.under_replicated_gauge->Set(report.under_replicated_batches);
+      s.recovery_us->Observe(static_cast<double>(report.recovery_time));
     }
   }
 
-  if (timeseries_ != nullptr) timeseries_->Observe(report);
+  if (stream->timeseries != nullptr) stream->timeseries->Observe(report);
   if (options_.autopsy_enabled) {
     last_autopsy_ = ExplainBatch(report, options_.autopsy);
     if (autopsy_file_ != nullptr) {
-      autopsy_file_->Write(AutopsyRecord(last_autopsy_));
+      Record row = AutopsyRecord(last_autopsy_);
+      for (const auto& [key, value] : stream->labels) row.Set(key, value);
+      autopsy_file_->Write(row);
     }
   }
 
@@ -179,20 +223,9 @@ void Observability::OnBatchComplete(const BatchReport& report,
   for (auto& sink : trace_sinks_) sink->Write(trace);
   for (Observer* o : observers_) o->OnBatchComplete(report, trace);
 
-  if (options_.metrics_every > 0 &&
+  if (options_.metrics_every > 0 && stream == streams_.back().get() &&
       (report.batch_id + 1) % options_.metrics_every == 0) {
     EmitMetricsSnapshot(report.batch_id);
-  }
-}
-
-void Observability::EmitAutopsy(const BatchAutopsy& autopsy,
-                                const std::string& tenant) {
-  if (!options_.autopsy_enabled) return;
-  last_autopsy_ = autopsy;
-  if (autopsy_file_ != nullptr) {
-    Record row = AutopsyRecord(autopsy);
-    row.Set("tenant", tenant);
-    autopsy_file_->Write(row);
   }
 }
 

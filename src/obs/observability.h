@@ -79,7 +79,7 @@ class Observability final : public Observer {
   /// assembly entirely when false — the disabled path costs one branch.
   bool active() const {
     return metrics_enabled() || tracing_active() || !report_sinks_.empty() ||
-           timeseries_ != nullptr || autopsy_enabled();
+           timeseries() != nullptr || autopsy_enabled();
   }
   bool metrics_enabled() const { return registry_ != nullptr; }
   bool tracing_active() const {
@@ -99,8 +99,10 @@ class Observability final : public Observer {
 
   /// Per-batch time series; nullptr when timeseries_capacity is 0 and no
   /// server was requested.
-  TimeSeriesStore* timeseries() { return timeseries_.get(); }
-  const TimeSeriesStore* timeseries() const { return timeseries_.get(); }
+  TimeSeriesStore* timeseries() { return streams_.front()->timeseries.get(); }
+  const TimeSeriesStore* timeseries() const {
+    return streams_.front()->timeseries.get();
+  }
 
   /// Embedded telemetry server; nullptr when serve_port < 0. Started by the
   /// constructor — a bind failure lands in init_status().
@@ -111,12 +113,53 @@ class Observability final : public Observer {
   /// Only maintained while autopsy_enabled().
   const BatchAutopsy& last_autopsy() const { return last_autopsy_; }
 
-  /// Writes one autopsy row tagged with a `tenant` column to the configured
-  /// autopsy sink and updates last_autopsy(). The multi-tenant engine emits
-  /// each tenant's verdict through this instead of OnBatchComplete, so the
-  /// per-tenant autopsy streams stay separable in one JSONL file. No-op
-  /// unless autopsy_enabled().
-  void EmitAutopsy(const BatchAutopsy& autopsy, const std::string& tenant);
+  /// \brief One query's report stream: the metric series its reports
+  /// update, the time series they feed and the columns their autopsy rows
+  /// carry. Owned by the Observability that made it.
+  struct Stream {
+    MetricLabels labels;
+    /// Its points (null when no time series is kept).
+    std::unique_ptr<TimeSeriesStore> timeseries;
+
+    // Cached hot-path handles (valid iff the registry is on).
+    Counter* batches_total = nullptr;
+    Counter* tuples_total = nullptr;
+    HistogramMetric* latency_us = nullptr;
+    HistogramMetric* queue_us = nullptr;
+    HistogramMetric* partition_cost_us = nullptr;
+    Gauge* w_gauge = nullptr;
+    Gauge* map_tasks_gauge = nullptr;
+    Gauge* reduce_tasks_gauge = nullptr;
+    Gauge* slots_gauge = nullptr;  ///< labeled streams only
+
+    // Ingest handles, registered lazily: most runs never shard the ingest
+    // phase.
+    Gauge* shard_imbalance_gauge = nullptr;
+    Gauge* ring_occupancy_gauge = nullptr;
+    HistogramMetric* merge_us = nullptr;
+    HistogramMetric* seal_barrier_us = nullptr;
+
+    // Sketch-mode handles, registered lazily on the first heavy-hitter batch.
+    Gauge* head_coverage_gauge = nullptr;
+    Gauge* sketch_error_gauge = nullptr;
+    Gauge* promoted_keys_gauge = nullptr;
+
+    // Recovery handles, registered lazily on the first batch that did
+    // recovery work — failure-free runs never see these series.
+    Counter* batches_replayed_total = nullptr;
+    Counter* tasks_retried_total = nullptr;
+    Counter* tasks_speculated_total = nullptr;
+    Gauge* under_replicated_gauge = nullptr;
+    HistogramMetric* recovery_us = nullptr;
+  };
+  /// The stream for reports labeled `labels`. Empty labels give the
+  /// unlabeled stream, the one the Observer interface feeds: the registry's
+  /// plain series and the default time series. Labeled streams (a tenant's
+  /// {{"tenant", id}}) update the same series under their labels plus
+  /// `prompt_tenant_slots`, feed a time series of their own (served at
+  /// `/timeseries.json?tenant=<the first label's value>`) and tag their
+  /// autopsy rows with their labels.
+  Stream* AddStream(const MetricLabels& labels);
 
   void AddTraceSink(std::unique_ptr<TraceSink> sink);
   /// Per-batch report rows (ReportRecord) flow into these.
@@ -130,13 +173,25 @@ class Observability final : public Observer {
   /// destination (no-op when metrics are disabled).
   void EmitMetricsSnapshot(uint64_t after_batch);
 
-  // Observer interface (driven by the engine).
+  // Observer interface. OnBatchComplete(report, trace) publishes on the
+  // unlabeled stream.
   void OnRunStart(uint32_t num_batches) override;
   void OnBatchComplete(const BatchReport& report,
                        const BatchTrace& trace) override;
   void OnRunEnd() override;
 
+  /// Publishes one report of `stream`: its series, its time series, its
+  /// autopsy row, then every sink and observer. A heartbeat's reports come
+  /// stream by stream in the order the streams were added; the
+  /// `metrics_every` snapshot follows the last stream's report.
+  void OnBatchComplete(const BatchReport& report, const BatchTrace& trace,
+                       Stream* stream);
+
  private:
+  /// Registers `stream`'s eager series under its labels (no-op without a
+  /// registry).
+  void BindStream(Stream* stream);
+
   ObservabilityOptions options_;
   Status init_status_;
 
@@ -151,40 +206,16 @@ class Observability final : public Observer {
   // Autopsy destination (JSONL file) when autopsy_path is set.
   std::unique_ptr<FileRecordSink> autopsy_file_;
 
-  std::unique_ptr<TimeSeriesStore> timeseries_;
   BatchAutopsy last_autopsy_;
-
-  // Cached hot-path handles (valid iff registry_ != nullptr).
-  Counter* batches_total_ = nullptr;
-  Counter* tuples_total_ = nullptr;
-  HistogramMetric* latency_us_ = nullptr;
-  HistogramMetric* queue_us_ = nullptr;
-  HistogramMetric* partition_cost_us_ = nullptr;
-  Gauge* w_gauge_ = nullptr;
-  Gauge* map_tasks_gauge_ = nullptr;
-  Gauge* reduce_tasks_gauge_ = nullptr;
-  Gauge* shard_imbalance_gauge_ = nullptr;
-  Gauge* ring_occupancy_gauge_ = nullptr;
-  HistogramMetric* merge_us_ = nullptr;
-  HistogramMetric* seal_barrier_us_ = nullptr;
-
-  // Sketch-mode handles, registered lazily on the first heavy-hitter batch.
-  Gauge* head_coverage_gauge_ = nullptr;
-  Gauge* sketch_error_gauge_ = nullptr;
-  Gauge* promoted_keys_gauge_ = nullptr;
-
-  // Recovery handles, registered lazily on the first batch that did
-  // recovery work — failure-free runs never see these series.
-  Counter* batches_replayed_total_ = nullptr;
-  Counter* tasks_retried_total_ = nullptr;
-  Counter* tasks_speculated_total_ = nullptr;
-  Gauge* under_replicated_gauge_ = nullptr;
-  HistogramMetric* recovery_us_ = nullptr;
+  /// streams_[0] is the unlabeled stream; labeled ones follow in the order
+  /// they were added.
+  std::vector<std::unique_ptr<Stream>> streams_;
 
   // Declared last: destroyed first, so the accept thread joins before the
   // registry and time series it scrapes go away.
   std::unique_ptr<HttpExporter> exporter_;
 };
+
 
 /// \brief Lowers a BatchReport to the canonical 18-column row every writer
 /// (CSV export, JSONL, promptctl table) shares. Column names and order are

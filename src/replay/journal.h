@@ -78,8 +78,8 @@ using ReplayEnv = std::map<std::pair<uint32_t, uint64_t>, BatchEnv>;
 /// (`inject` holds this owner+batch) the recorded partition cost overwrites
 /// the measured one and the recorded ingest numbers are returned; otherwise
 /// the measured values (worst shard's occupancy sample from `metrics`, null
-/// when ingest is unsharded) are captured for the journal. Both engines
-/// call this right after Seal, so record→replay→re-replay chains exactly.
+/// when ingest is unsharded) are captured for the journal. The batch loop
+/// calls this right after Seal, so record→replay→re-replay chains exactly.
 BatchEnv SettleBatchEnv(const std::shared_ptr<const ReplayEnv>& inject,
                         uint32_t owner, PartitionedBatch* batch,
                         const IngestMetrics* metrics);

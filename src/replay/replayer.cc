@@ -23,44 +23,47 @@ Result<JobSpec> CompileJob(const std::string& query) {
   return compiled.job;
 }
 
-/// One recorded engine lifetime replayed: fresh engine over the attempt's
-/// tuple stream, wall-clock inputs injected, re-recorded into the output
-/// journal. Crashed attempts drive one extra heartbeat — the batch whose
-/// crash fault (re-fired from the manifest schedule) ends the attempt.
+/// Points one recorded engine lifetime's journal at the output directory,
+/// with the lifetime's wall-clock inputs injected in place of measurements.
+void RecordInto(JournalOptions* journal, const JournalAttempt& attempt,
+                const ReplayOptions& replay) {
+  journal->dir = replay.output_dir;
+  journal->inject = std::make_shared<const ReplayEnv>(attempt.envs);
+}
+
+/// The heartbeats one recorded lifetime drove: its published batches, plus
+/// for a crashed one the batch whose crash fault (re-fired from the
+/// manifest schedule) ended it.
+uint32_t Heartbeats(const JournalAttempt& attempt) {
+  return static_cast<uint32_t>(attempt.published_batches() +
+                               (attempt.crashed() ? 1 : 0));
+}
+
+/// One recorded engine lifetime replayed: a fresh engine over the attempt's
+/// tuple stream, re-recorded into the output journal.
 Result<uint64_t> ReplaySingleAttempt(SingleRunManifest run,
                                      const JournalAttempt& attempt,
                                      const ReplayOptions& replay) {
-  EngineOptions& options = run.options;
-  options.journal.dir = replay.output_dir;
-  options.journal.inject = std::make_shared<const ReplayEnv>(attempt.envs);
-
+  RecordInto(&run.options.journal, attempt, replay);
   JournalTupleSource source(attempt.tuples);
-  MicroBatchEngine engine(options, run.job,
-                          CreatePartitioner(*run.technique,
-                                            options.adapt.config),
-                          &source);
+  MicroBatchEngine engine(
+      run.options, run.job,
+      CreatePartitioner(*run.technique, run.options.adapt.config), &source);
   PROMPT_RETURN_NOT_OK(engine.init_status());
-
-  const uint64_t heartbeats =
-      attempt.published_batches() + (attempt.crashed() ? 1 : 0);
-  engine.Run(static_cast<uint32_t>(heartbeats));
-  return heartbeats;
+  engine.Run(Heartbeats(attempt));
+  return Heartbeats(attempt);
 }
 
 Result<uint64_t> ReplayMultiAttempt(MultiRunManifest run,
                                     const JournalAttempt& attempt,
                                     const ReplayOptions& replay) {
-  run.options.journal.dir = replay.output_dir;
-  run.options.journal.inject = std::make_shared<const ReplayEnv>(attempt.envs);
-
+  RecordInto(&run.options.journal, attempt, replay);
   JournalTupleSource source(attempt.tuples);
   PROMPT_ASSIGN_OR_RETURN(
       std::unique_ptr<MultiTenantEngine> engine,
       MultiTenantEngine::Create(run.options, std::move(run.specs), &source));
-
-  const uint64_t heartbeats = attempt.published_batches();
-  engine->Run(static_cast<uint32_t>(heartbeats));
-  return heartbeats;
+  engine->Run(Heartbeats(attempt));
+  return Heartbeats(attempt);
 }
 
 }  // namespace

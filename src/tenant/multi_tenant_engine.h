@@ -1,22 +1,24 @@
-// Multi-tenant query serving: N QueryContexts multiplexed over one shared
-// ingest pipeline by a weighted-fair TenantScheduler.
+// Multi-tenant query serving: N query specs over MicroBatchEngine's one
+// batch loop. Create maps the options and specs onto the loop — one tenant
+// per spec, with its own technique or adaptive ladder, key filter, weight,
+// window, `tenant`-labeled metrics, time series and autopsy rows — and Run
+// regroups the loop's reports per tenant.
 //
 // Each heartbeat:
 //   1. the scheduler hands every tenant its deterministic slot share
 //      (weights only — a tenant's overflow queues behind its *own* slots);
 //   2. the shared source drains once; tuples fan out to each tenant whose
 //      KeyFilter matches (sharded ingest merges once, then each tenant
-//      replays its slice of the merged quasi-sorted runs);
-//   3. every tenant seals and processes its own batch on its granted slots,
-//      with its own window, technique/adaptive-ladder state, autopsy stream
-//      and tenant-labeled metrics.
+//      seals its slice of the merged quasi-sorted runs);
+//   3. every tenant seals and processes its own batch on its granted slots.
 // Virtual time is per tenant (QueryContext::pipeline_free_at), so a noisy
 // neighbor's queueing never shows up in a calm tenant's latency — the
 // isolation property bench/multi_tenant_isolation asserts.
 //
-// Not in this engine (single-tenant only for now): cluster mode / fault
-// injection, elasticity, batch resizing, report-row sinks. The shared
-// substrate here is the ingest pipeline and the slot pool.
+// Cluster mode, fault injection, elasticity and batch resizing run in the
+// loop, but these options do not expose them yet: they would need their
+// own manifest keys. Without cluster mode the store logs each tenant's
+// batches under its own owner id.
 #pragma once
 
 #include <array>
@@ -26,18 +28,12 @@
 
 #include "common/result.h"
 #include "engine/engine.h"
-#include "ingest/pipeline.h"
 #include "obs/autopsy.h"
-#include "obs/observability.h"
 #include "query/multi_query.h"
 #include "replay/journal.h"
-#include "tenant/query_context.h"
-#include "tenant/tenant_scheduler.h"
 #include "workload/source.h"
 
 namespace prompt {
-
-class ThreadPool;
 
 /// \brief Shared-substrate configuration. Per-query knobs (technique,
 /// adaptive ladder, weight, filter, window) come from each TenantQuerySpec.
@@ -119,7 +115,7 @@ class MultiTenantEngine {
   static Result<std::unique_ptr<MultiTenantEngine>> Create(
       MultiTenantEngineOptions options, std::vector<TenantQuerySpec> specs,
       TupleSource* source);
-  ~MultiTenantEngine();
+  ~MultiTenantEngine() = default;
   PROMPT_DISALLOW_COPY_AND_ASSIGN(MultiTenantEngine);
 
   /// Runs `num_batches` heartbeats. Callable repeatedly; per-tenant state
@@ -127,68 +123,42 @@ class MultiTenantEngine {
   /// this call's batches only.
   MultiTenantRunSummary Run(uint32_t num_batches);
 
-  size_t tenants() const { return tenants_.size(); }
-  const std::string& id(size_t tenant) const;
+  size_t tenants() const { return engine_->tenants(); }
+  const std::string& id(size_t tenant) const { return context(tenant).id(); }
   /// The tenant's complete per-query state (window, technique, clocks).
-  const QueryContext& context(size_t tenant) const;
-  const WindowState& window(size_t tenant) const;
+  const QueryContext& context(size_t tenant) const {
+    return engine_->context(tenant);
+  }
+  const WindowState& window(size_t tenant) const {
+    return *context(tenant).window;
+  }
 
-  const TenantScheduler& scheduler() const { return *scheduler_; }
-  Observability* observability() { return obs_.get(); }
-  const Observability* observability() const { return obs_.get(); }
+  const TenantScheduler& scheduler() const { return engine_->scheduler(); }
+  Observability* observability() { return engine_->observability(); }
+  const Observability* observability() const {
+    return engine_->observability();
+  }
   const MultiTenantEngineOptions& options() const { return options_; }
 
-  /// What Create() recovered from the shared store directory.
-  struct DurableRecovery {
-    uint64_t batches_recovered = 0;  ///< across all tenants
-    uint64_t torn_records = 0;
-    /// Torn tail or undecodable record: at least one logged batch did not
-    /// survive (reported, never fabricated).
-    bool data_loss = false;
-  };
-  const DurableRecovery& durable_recovery() const { return durable_recovery_; }
-  const DurableBlockStore* durable_store() const { return durable_.get(); }
+  /// What Create() recovered from the shared store directory, across all
+  /// tenants.
+  using DurableRecovery = MicroBatchEngine::DurableRecovery;
+  const DurableRecovery& durable_recovery() const {
+    return engine_->durable_recovery();
+  }
+  const DurableBlockStore* durable_store() const {
+    return engine_->durable_store();
+  }
   /// The flight recorder, or null when options.journal is disabled.
-  const JournalWriter* journal() const { return journal_.get(); }
+  const JournalWriter* journal() const { return engine_->journal(); }
 
  private:
-  struct Tenant {
-    TenantQuerySpec spec;
-    std::unique_ptr<QueryContext> ctx;
-    // Tenant-labeled instrumentation (null when metrics are disabled).
-    Counter* batches_total = nullptr;
-    Counter* tuples_total = nullptr;
-    HistogramMetric* latency_us = nullptr;
-    Gauge* slots_gauge = nullptr;
-    Gauge* w_gauge = nullptr;
-  };
-
-  MultiTenantEngine(MultiTenantEngineOptions options, TupleSource* source);
-
-  /// The lean per-tenant processing phase: overflow accounting, partition
-  /// metrics, Map/Reduce execution on `slots` cores, window update.
-  BatchReport ProcessTenantBatch(Tenant* tenant, PartitionedBatch batch,
-                                 TimeMicros interval, uint32_t slots);
+  MultiTenantEngine(MultiTenantEngineOptions options,
+                    std::unique_ptr<MicroBatchEngine> engine)
+      : options_(std::move(options)), engine_(std::move(engine)) {}
 
   MultiTenantEngineOptions options_;
-  TupleSource* source_;
-  std::unique_ptr<Observability> obs_;
-  std::unique_ptr<TenantScheduler> scheduler_;
-  std::unique_ptr<ParallelIngestPipeline> ingest_;  // ingest.shards > 1
-  std::unique_ptr<ThreadPool> pool_;                // mode == kReal
-  std::unique_ptr<DurableBlockStore> durable_;      // store.dir non-empty
-  std::unique_ptr<JournalWriter> journal_;          // journal.dir non-empty
-  DurableRecovery durable_recovery_;
-  std::vector<Tenant> tenants_;
-
-  TimeMicros next_batch_start_ = 0;
-  bool have_pending_ = false;
-  Tuple pending_{};  ///< one-tuple lookahead across batch boundaries
-
-  // Shared-ingest EWMA estimates (merged totals across all tenants).
-  double est_tuples_ = 0;
-  double est_keys_ = 0;
-  bool est_init_ = false;
+  std::unique_ptr<MicroBatchEngine> engine_;
 };
 
 }  // namespace prompt

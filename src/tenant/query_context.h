@@ -1,10 +1,9 @@
-// QueryContext: the per-query mutable state that used to live flat inside
-// MicroBatchEngine — the live partitioner, the window, the per-query
-// controllers (elasticity, batch resizing, adaptive switching), the EWMA
-// workload estimates feeding Alg. 1, and the replication bookkeeping. One
-// engine run owns one context in the single-tenant path (zero behavior
-// change); the multi-tenant scheduler (src/tenant/tenant_scheduler.h)
-// multiplexes N of them over one shared ingest pipeline.
+// QueryContext: one query's mutable state — the live partitioner, the
+// window, the per-query controllers (elasticity, batch resizing, adaptive
+// switching), the EWMA workload estimates feeding Alg. 1, and the
+// replication bookkeeping. MicroBatchEngine's batch loop drives one context
+// per tenant over one shared ingest pipeline; the single-query engine is
+// its one-tenant case.
 #pragma once
 
 #include <deque>
@@ -22,14 +21,13 @@
 #include "engine/window.h"
 #include "obs/batch_report.h"
 #include "obs/metrics_registry.h"
-#include "obs/timeseries.h"
 
 namespace prompt {
 
 /// \brief The per-query slice of EngineOptions: everything a QueryContext
-/// needs to build and drive its own pipeline stages. The engine (or the
-/// multi-tenant scheduler) fills this from its own options; shared-substrate
-/// settings (cores, ingest shards, cluster, faults) stay with the caller.
+/// needs to build and drive its own pipeline stages (QueryOptionsFrom in
+/// engine/engine.h); shared-substrate settings (cores, ingest shards,
+/// cluster, faults) stay with the engine.
 struct QueryContextOptions {
   uint32_t map_tasks = 8;
   uint32_t reduce_tasks = 8;
@@ -48,15 +46,15 @@ struct QueryContextOptions {
 /// \brief One streaming query's complete mutable state.
 ///
 /// The context is a state bag driven by an engine, not an engine itself: the
-/// run loop (MicroBatchEngine::Run or TenantScheduler's heartbeat) decides
-/// when to Begin/Seal the partitioner, execute stages and feed the
-/// controllers; the context owns the objects and the cross-batch bookkeeping
-/// so N queries can coexist without sharing any of it.
+/// batch loop (MicroBatchEngine::RunTenants) decides when to Begin/Seal the
+/// partitioner, execute stages and feed the controllers; the context owns
+/// the objects and the cross-batch bookkeeping so N queries can coexist
+/// without sharing any of it.
 class QueryContext {
  public:
   /// \param registry nullptr disables component metrics; `labels` is
-  /// appended to every metric the context's components register (the
-  /// multi-tenant path passes {{"tenant", id}}).
+  /// appended to every metric the context's components register (a
+  /// multi-tenant engine's tenants pass {{"tenant", id}}).
   QueryContext(std::string id, const QueryContextOptions& options, JobSpec job,
                std::unique_ptr<BatchPartitioner> partitioner,
                MetricsRegistry* registry, MetricLabels labels = {});
@@ -68,8 +66,8 @@ class QueryContext {
 
   /// Steps the EWMA workload estimates (Alg. 1's N_est / K_avg feed,
   /// alpha = 0.4) with one completed batch and forwards them to the live
-  /// partitioner. Callers sharing an ingest pipeline read est_tuples /
-  /// est_keys afterwards to feed it too.
+  /// partitioner. A shared ingest pipeline is fed from the merged batch
+  /// instead (MergedBatchEstimates in engine/engine.h).
   void ObserveBatchEstimates(uint64_t tuples, uint64_t keys);
 
   /// Swaps the live partitioner for `decision.to` between heartbeats: the
@@ -92,9 +90,6 @@ class QueryContext {
   std::unique_ptr<ElasticController> elastic;        ///< elasticity_enabled
   std::unique_ptr<BatchIntervalController> resizer;  ///< batch_resizing_enabled
   std::unique_ptr<AdaptivePartitionController> adapt;  ///< adapt.enabled
-  /// Per-tenant telemetry ring; created by the multi-tenant engine (the
-  /// single-tenant path keeps using the global Observability store).
-  std::unique_ptr<TimeSeriesStore> timeseries;
 
   // ---- Cross-batch scalar state.
   uint32_t map_tasks;

@@ -315,6 +315,32 @@ TEST(ManifestSchemaTest, GoldenManifestReRecordsIdentically) {
   EXPECT_EQ(result->diff.identical_batches, 8u);
 }
 
+/// Values the reader once accepted that reach undefined behaviour: a cost
+/// near 1e300 overflows the int64 cast of a modeled task duration, a trend
+/// lookback of INT_MAX the `lookback + 1` history bound. Each must be
+/// rejected or replay bit-identically, like the rest of the corpus.
+void RunPastBoundCorpus(const std::string& journal_dir) {
+  const JournalManifest recorded = ManifestOf(journal_dir);
+  size_t mutated = 0;
+  for (size_t i = 0; i < recorded.entries().size(); ++i) {
+    const std::string& key = recorded.entries()[i].first;
+    std::string value;
+    if (key.rfind("cost.", 0) == 0) value = "1.0000000000000001e+300";
+    if (key == "elasticity.trend_lookback") value = "2147483647";
+    if (value.empty()) continue;
+    ExpectRejectedOrReplayed(journal_dir, WithValue(recorded, i, value), key,
+                             key + "='" + value + "'");
+    ++mutated;
+  }
+  EXPECT_GE(mutated, 8u) << journal_dir;
+}
+
+TEST(ManifestSchemaTest, ReaderRejectsValuesPastTheirBounds) {
+  RunPastBoundCorpus(TestData("sketch_single_journal"));
+  RunPastBoundCorpus(TestData("two_tenants_journal"));
+  RunPastBoundCorpus(RecordGoldenRun("golden"));
+}
+
 TEST(ManifestSchemaTest, ReaderRejectsHostileSketchFixtureManifests) {
   RunHostileCorpus(TestData("sketch_single_journal"));
 }

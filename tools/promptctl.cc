@@ -49,7 +49,11 @@
 //                                        (--autopsy_out) carry a `tenant`
 //                                        column; the telemetry server adds
 //                                        /tenants.json and
-//                                        /timeseries.json?tenant=<id>.
+//                                        /timeseries.json?tenant=<id>. The
+//                                        query, technique, adaptive, fault,
+//                                        cluster, elastic, crash-drill,
+//                                        --explain and --csv flags exit 1
+//                                        here.
 //
 // Flight recorder (src/replay/):
 //   --record=DIR               journal the run (tuples, outcomes, switches,
@@ -211,6 +215,7 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
                    int metrics_every, const std::string& metrics_path,
                    int serve_port, int serve_hold_ms,
                    const std::string& autopsy_path,
+                   const std::string& trace_path,
                    const StoreOptions& store, const std::string& scenario_spec,
                    const std::string& record_dir) {
   auto specs = LoadQueryFile(queries_path);
@@ -251,6 +256,7 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
   options.obs.metrics_path = metrics_path;
   options.obs.serve_port = serve_port;
   options.obs.autopsy_path = autopsy_path;
+  options.obs.trace_path = trace_path;
   if (!autopsy_path.empty()) {
     options.obs.autopsy_enabled = true;
     options.obs.collect_partition_metrics = true;
@@ -262,6 +268,9 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
   auto engine = MultiTenantEngine::Create(options, *specs, source.get());
   if (!engine.ok()) return Fail(engine.status());
   MultiTenantEngine& mt = **engine;
+  if (const Status& st = mt.observability()->init_status(); !st.ok()) {
+    return Fail(st);
+  }
   if (store.enabled() && mt.durable_recovery().batches_recovered > 0) {
     std::printf("durable store: recovered %llu batch(es) from %s%s\n",
                 static_cast<unsigned long long>(
@@ -331,6 +340,15 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
   if (!autopsy_path.empty()) {
     std::printf("\n(wrote per-tenant autopsy rows to %s)\n",
                 autopsy_path.c_str());
+  }
+  if (!trace_path.empty()) {
+    // One record per tenant per heartbeat, in tenant order.
+    size_t traces = 0;
+    for (const TenantRunResult& result : summary.tenants) {
+      traces += result.summary.batches.size();
+    }
+    std::printf("\n(wrote %zu batch traces to %s)\n", traces,
+                trace_path.c_str());
   }
   if (!record_dir.empty()) {
     std::printf("(recorded run journal to %s — promptctl --replay=%s)\n",
@@ -478,13 +496,26 @@ int main(int argc, char** argv) {
   if (!replay_dir.empty()) return RunReplay(replay_dir, record_dir);
 
   if (!queries_path.empty()) {
-    // Multi-tenant serving: the spec file replaces --query/--technique.
+    // Multi-tenant serving: the spec file replaces the query, technique and
+    // adaptive flags, and the multi-tenant options do not expose faults,
+    // cluster mode, elasticity, crash drills or the single-query report
+    // outputs yet. A flag that would be dropped is an error instead.
+    for (const char* name :
+         {"query", "interval_ms", "technique", "adaptive", "adapt_candidates",
+          "adapt_d", "elastic", "fault_schedule", "cluster", "nodes",
+          "cores_per_node", "replication", "crash_after", "recover_only",
+          "explain", "csv"}) {
+      if (flags.Has(name)) {
+        return Fail(Status::Invalid(std::string("--") + name +
+                                    " is not supported with --queries"));
+      }
+    }
     return RunMultiTenant(queries_path, *dataset, *rate, *batches, *tasks,
                           *zipf, *scale, *seed, *ingest_shards, accumulator,
                           key_mode, *sketch_capacity, *map_us, *metrics,
                           *metrics_every, metrics_path, *serve_port,
-                          *serve_hold_ms, autopsy_path, store_options,
-                          scenario_spec, record_dir);
+                          *serve_hold_ms, autopsy_path, trace_path,
+                          store_options, scenario_spec, record_dir);
   }
 
   auto query = ParseQuery(query_text);
