@@ -1,5 +1,5 @@
 // Ablations of Prompt's design choices (DESIGN.md §5):
-//   A1  CountTree update-budget sweep: ordering quality & cost vs budget
+//   A1  update-budget sweep: ordering quality & cost vs budget
 //   A2  MPI weight extremes (p1=1 ≈ shuffle, p3=1 ≈ hash behaviour, §3.3)
 //   A3  Early-release slack sweep: how much slack Alg. 2 actually needs
 //   A4  Reduce-allocator isolation: Alg. 3 vs hash shuffle on Prompt blocks
@@ -20,7 +20,7 @@ namespace {
 
 // ---------- A1: budget sweep ----------
 void BudgetSweep() {
-  PrintHeader("A1 — CountTree budget sweep (Tweets-like batch, 60k tuples)");
+  PrintHeader("A1 — budget sweep (Tweets-like batch, 60k tuples)");
   PrintRow({"budget", "treeUpdates", "updates/key", "displacement",
             "sealCost(us)"});
   for (uint32_t budget : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {

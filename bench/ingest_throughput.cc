@@ -1,17 +1,16 @@
-// Ingest scaling harness for the accumulator rewrite and the sharded
-// parallel ingest pipeline (src/ingest/): raw Alg. 1 buffering throughput
-// (tuples/s) for each accumulator kind at 1..S shards over uniform and Zipf
-// key streams, plus two correctness cross-checks:
-//   - the merged batch's per-key counts are bit-identical to a single
-//     accumulator fed the same stream, and
-//   - the flat accumulator's sealed run sequence is bit-identical to the
-//     legacy chain's at every shard count (the tentpole acceptance).
+// Ingest scaling harness for the sharded parallel ingest pipeline
+// (src/ingest/): raw Alg. 1 buffering throughput (tuples/s) at 1..S shards
+// over uniform and Zipf key streams, checked against a single accumulator
+// fed the same stream (the ground truth):
+//   - the merged batch's per-key counts are bit-identical at every shard
+//     count, and
+//   - at 1 shard the merged run sequence is the single accumulator's.
 //
 // The streams are pre-generated and replayed from memory, so the measurement
 // isolates route + accumulate + seal + merge — no source pacing, no queueing.
 // Multi-shard speedups require the shards to actually run on separate cores;
-// on a single-core host those numbers degenerate to ~1x. The single-shard
-// flat-vs-legacy ratio at the bottom is core-count independent.
+// on a single-core host those numbers degenerate to ~1x. The single
+// accumulator's throughput at the bottom is core-count independent.
 #include <cstdio>
 #include <map>
 #include <thread>
@@ -72,9 +71,8 @@ double TimedPass(ParallelIngestPipeline& pipeline,
 }
 
 /// Best-of-reps single-accumulator throughput (no pipeline overhead).
-double SingleAccumulatorTps(AccumulatorKind kind,
-                            const std::vector<Tuple>& stream, int reps) {
-  auto acc = MakeAccumulator(kind);
+double SingleAccumulatorTps(const std::vector<Tuple>& stream, int reps) {
+  auto acc = MakeAccumulator(AccumulatorKind::kFlat);
   double best = 0;
   for (int r = 0; r < reps; ++r) {
     Stopwatch watch;
@@ -91,62 +89,48 @@ double SingleAccumulatorTps(AccumulatorKind kind,
 
 void RunScaling(const char* label, const std::vector<Tuple>& stream,
                 const std::vector<uint32_t>& shard_counts, int reps) {
-  // Ground truth for the bit-identity checks: the legacy chain accumulator.
-  auto reference = MakeAccumulator(AccumulatorKind::kLegacyChain);
+  // Ground truth for the bit-identity checks: one accumulator, no shards.
+  auto reference = MakeAccumulator(AccumulatorKind::kFlat);
   reference->Begin(0, static_cast<TimeMicros>(stream.size()));
   for (const Tuple& t : stream) reference->OnTuple(t);
   const auto ref_batch = reference->Seal();
   const auto expected_counts = KeyCounts(ref_batch);
   const auto expected_runs = RunSequence(ref_batch);
 
-  for (AccumulatorKind kind :
-       {AccumulatorKind::kLegacyChain, AccumulatorKind::kFlat}) {
-    std::printf("%-10s %-8s %8s %14s %10s %10s %12s\n", label,
-                AccumulatorKindName(kind), "shards", "tuples/s", "speedup",
-                "imbalance", "runs");
-    double base = 0;
-    for (uint32_t shards : shard_counts) {
-      IngestOptions opts;
-      opts.shards = shards;
-      opts.accumulator = kind;
-      ParallelIngestPipeline pipeline(opts);
-      double best = 0;
-      bool counts_exact = true;
-      bool runs_exact = true;
-      for (int r = 0; r < reps; ++r) {
-        const double tps = TimedPass(pipeline, stream);
-        if (tps > best) best = tps;
-        if (r == 0) {
-          // Re-run untimed for verification.
-          pipeline.BeginBatch(0, static_cast<TimeMicros>(stream.size()));
-          for (const Tuple& t : stream) pipeline.Ingest(t);
-          const AccumulatedBatch& merged = pipeline.SealBatch();
-          counts_exact = KeyCounts(merged) == expected_counts;
-          // The run *sequence* is only bit-identical to the single legacy
-          // accumulator at 1 shard; multi-shard merges interleave shards.
-          runs_exact = shards > 1 || RunSequence(merged) == expected_runs;
-        }
+  std::printf("%-10s %8s %14s %10s %10s %12s\n", label, "shards",
+              "tuples/s", "speedup", "imbalance", "runs");
+  double base = 0;
+  for (uint32_t shards : shard_counts) {
+    IngestOptions opts;
+    opts.shards = shards;
+    ParallelIngestPipeline pipeline(opts);
+    double best = 0;
+    bool counts_exact = true;
+    bool runs_exact = true;
+    for (int r = 0; r < reps; ++r) {
+      const double tps = TimedPass(pipeline, stream);
+      if (tps > best) best = tps;
+      if (r == 0) {
+        // Re-run untimed for verification.
+        pipeline.BeginBatch(0, static_cast<TimeMicros>(stream.size()));
+        for (const Tuple& t : stream) pipeline.Ingest(t);
+        const AccumulatedBatch& merged = pipeline.SealBatch();
+        counts_exact = KeyCounts(merged) == expected_counts;
+        // The run *sequence* is only bit-identical to the single
+        // accumulator at 1 shard; multi-shard merges interleave shards.
+        runs_exact = shards > 1 || RunSequence(merged) == expected_runs;
       }
-      if (shards == shard_counts.front()) base = best;
-      std::printf("%-10s %-8s %8u %14.0f %9.2fx %10.3f %12s\n", "", "",
-                  shards, best, base > 0 ? best / base : 0,
-                  ShardLoadImbalance(pipeline.last_metrics()),
-                  !counts_exact ? "COUNT-MISMATCH"
-                  : !runs_exact ? "RUN-MISMATCH"
-                                : "exact");
     }
-    std::printf("\n");
+    if (shards == shard_counts.front()) base = best;
+    std::printf("%-10s %8u %14.0f %9.2fx %10.3f %12s\n", "", shards, best,
+                base > 0 ? best / base : 0,
+                ShardLoadImbalance(pipeline.last_metrics()),
+                !counts_exact ? "COUNT-MISMATCH"
+                : !runs_exact ? "RUN-MISMATCH"
+                              : "exact");
   }
-
-  // The tentpole headline: raw single-shard accumulator throughput.
-  const double legacy_tps =
-      SingleAccumulatorTps(AccumulatorKind::kLegacyChain, stream, reps);
-  const double flat_tps =
-      SingleAccumulatorTps(AccumulatorKind::kFlat, stream, reps);
-  std::printf("%-10s single-shard accumulator: legacy %.0f t/s, flat %.0f "
-              "t/s, flat/legacy %.2fx\n\n",
-              label, legacy_tps, flat_tps,
-              legacy_tps > 0 ? flat_tps / legacy_tps : 0);
+  std::printf("%-10s single accumulator, no pipeline: %.0f t/s\n\n", label,
+              SingleAccumulatorTps(stream, reps));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the hot data structures: the per-tuple
-// accumulator path, CountTree repositioning, seal-time planning, the online
-// baselines' per-tuple decisions, and the reduce allocator.
+// accumulator path, the seals, seal-time planning, the online baselines'
+// per-tuple decisions, and the reduce allocator.
 #include <benchmark/benchmark.h>
 
 #include "baselines/factory.h"
@@ -8,7 +8,6 @@
 #include "core/accumulator_api.h"
 #include "core/prompt_partitioner.h"
 #include "core/reduce_allocator.h"
-#include "stats/count_tree.h"
 #include "engine/serde.h"
 #include "stats/hyperloglog.h"
 #include "stats/space_saving.h"
@@ -30,34 +29,24 @@ std::vector<Tuple> MakeTuples(uint64_t n, uint64_t cardinality, double z) {
   return tuples;
 }
 
-AccumulatorKind KindArg(const benchmark::State& state) {
-  return state.range(1) != 0 ? AccumulatorKind::kFlat
-                             : AccumulatorKind::kLegacyChain;
-}
-
 void BM_AccumulatorOnTuple(benchmark::State& state) {
   const auto tuples = MakeTuples(100000, state.range(0), 1.0);
   AccumulatorOptions opts;
   opts.estimated_tuples = tuples.size();
   opts.avg_keys = state.range(0);
-  auto acc = MakeAccumulator(KindArg(state), opts);
+  auto acc = MakeAccumulator(AccumulatorKind::kFlat, opts);
   for (auto _ : state) {
     acc->Begin(0, Seconds(10));
     for (const Tuple& t : tuples) acc->OnTuple(t);
     benchmark::DoNotOptimize(acc->num_keys());
   }
   state.SetItemsProcessed(state.iterations() * tuples.size());
-  state.SetLabel(acc->name());
 }
-BENCHMARK(BM_AccumulatorOnTuple)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_AccumulatorOnTuple)->Arg(1000)->Arg(100000);
 
 void BM_AccumulatorSeal(benchmark::State& state) {
   const auto tuples = MakeTuples(200000, state.range(0), 1.0);
-  auto acc = MakeAccumulator(KindArg(state));
+  auto acc = MakeAccumulator(AccumulatorKind::kFlat);
   for (auto _ : state) {
     state.PauseTiming();
     acc->Begin(0, Seconds(10));
@@ -67,17 +56,12 @@ void BM_AccumulatorSeal(benchmark::State& state) {
     benchmark::DoNotOptimize(batch.keys().size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(acc->name());
 }
-BENCHMARK(BM_AccumulatorSeal)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
+BENCHMARK(BM_AccumulatorSeal)->Arg(10000)->Arg(100000);
 
 void BM_PostSortSeal(benchmark::State& state) {
   const auto tuples = MakeTuples(200000, state.range(0), 1.0);
-  auto acc = MakeAccumulator(KindArg(state));
+  auto acc = MakeAccumulator(AccumulatorKind::kFlat);
   for (auto _ : state) {
     state.PauseTiming();
     acc->Begin(0, Seconds(10));
@@ -87,31 +71,8 @@ void BM_PostSortSeal(benchmark::State& state) {
     benchmark::DoNotOptimize(batch.keys().size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.SetLabel(acc->name());
 }
-BENCHMARK(BM_PostSortSeal)
-    ->Args({10000, 0})
-    ->Args({10000, 1})
-    ->Args({100000, 0})
-    ->Args({100000, 1});
-
-void BM_CountTreeUpdate(benchmark::State& state) {
-  const uint64_t n = state.range(0);
-  CountTree tree;
-  std::vector<uint64_t> counts(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    counts[k] = 1;
-    tree.Insert(k, 1);
-  }
-  Rng rng(3);
-  for (auto _ : state) {
-    uint64_t k = rng.NextBounded(n);
-    tree.Update(k, counts[k], counts[k] + 1);
-    ++counts[k];
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountTreeUpdate)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_PostSortSeal)->Arg(10000)->Arg(100000);
 
 void BM_PromptPlan(benchmark::State& state) {
   const auto tuples = MakeTuples(200000, state.range(0), 1.2);

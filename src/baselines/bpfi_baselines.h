@@ -32,10 +32,9 @@ class BpfiBaselinePartitioner final : public BatchPartitioner {
  public:
   enum class Kind { kFfd, kFragMin };
 
-  explicit BpfiBaselinePartitioner(
-      Kind kind, AccumulatorOptions options = {},
-      AccumulatorKind accumulator_kind = AccumulatorKind::kFlat)
-      : kind_(kind), accumulator_(MakeAccumulator(accumulator_kind, options)) {}
+  explicit BpfiBaselinePartitioner(Kind kind, AccumulatorOptions options = {})
+      : kind_(kind),
+        accumulator_(MakeAccumulator(AccumulatorKind::kFlat, options)) {}
 
   const char* name() const override {
     return kind_ == Kind::kFfd ? "FFD" : "FragMin";

@@ -30,12 +30,10 @@ std::unique_ptr<BatchPartitioner> CreatePartitioner(
     }
     case PartitionerType::kFfd:
       return std::make_unique<BpfiBaselinePartitioner>(
-          BpfiBaselinePartitioner::Kind::kFfd, config.prompt.accumulator,
-          config.prompt.accumulator_kind);
+          BpfiBaselinePartitioner::Kind::kFfd, config.prompt.accumulator);
     case PartitionerType::kFragMin:
       return std::make_unique<BpfiBaselinePartitioner>(
-          BpfiBaselinePartitioner::Kind::kFragMin, config.prompt.accumulator,
-          config.prompt.accumulator_kind);
+          BpfiBaselinePartitioner::Kind::kFragMin, config.prompt.accumulator);
     case PartitionerType::kSketch: {
       SketchPartitionerOptions opts;
       opts.sketch_capacity = config.sketch_capacity;

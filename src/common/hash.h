@@ -15,17 +15,6 @@ inline uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// \brief xxHash-style 64-bit avalanche (the XXH3 finalizer): two
-/// multiply-xorshift rounds. Slightly cheaper than Mix64 (one fewer
-/// multiply) with comparable diffusion — used by the flat accumulator's
-/// robin-hood table, where the hash is on the per-tuple critical path.
-inline uint64_t XxMix64(uint64_t x) {
-  x ^= x >> 37;
-  x *= 0x165667919e3779f9ULL;
-  x ^= x >> 32;
-  return x;
-}
-
 /// \brief Hashes a 64-bit key under a given seed.
 ///
 /// Distinct seeds behave as independent hash functions; the d-choices

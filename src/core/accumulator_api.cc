@@ -1,6 +1,5 @@
 #include "core/accumulator_api.h"
 
-#include "core/accumulator.h"
 #include "core/flat_accumulator.h"
 #include "core/sketch_accumulator.h"
 
@@ -8,8 +7,6 @@ namespace prompt {
 
 const char* AccumulatorKindName(AccumulatorKind kind) {
   switch (kind) {
-    case AccumulatorKind::kLegacyChain:
-      return "legacy";
     case AccumulatorKind::kFlat:
       return "flat";
     case AccumulatorKind::kSketch:
@@ -18,27 +15,9 @@ const char* AccumulatorKindName(AccumulatorKind kind) {
   return "unknown";
 }
 
-bool ParseAccumulatorKind(std::string_view name, AccumulatorKind* out) {
-  if (name == "flat") {
-    *out = AccumulatorKind::kFlat;
-    return true;
-  }
-  if (name == "legacy" || name == "legacy_chain") {
-    *out = AccumulatorKind::kLegacyChain;
-    return true;
-  }
-  if (name == "sketch") {
-    *out = AccumulatorKind::kSketch;
-    return true;
-  }
-  return false;
-}
-
 std::unique_ptr<Accumulator> MakeAccumulator(AccumulatorKind kind,
                                              AccumulatorOptions options) {
   switch (kind) {
-    case AccumulatorKind::kLegacyChain:
-      return std::make_unique<LegacyChainAccumulator>(options);
     case AccumulatorKind::kFlat:
       return std::make_unique<FlatAccumulator>(options);
     case AccumulatorKind::kSketch:

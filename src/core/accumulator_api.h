@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -19,7 +18,7 @@
 namespace prompt {
 
 /// \brief Knobs specific to the sketch (heavy-hitter) accumulator. Inert for
-/// the exact implementations.
+/// the exact one.
 struct SketchSettings {
   /// Space-Saving counter slots. Doubles as the cap on keys promoted to
   /// exact tracking, so head state is O(capacity) by construction.
@@ -40,8 +39,8 @@ struct SketchSettings {
 
 /// \brief Tuning knobs of the buffering mechanism.
 struct AccumulatorOptions {
-  /// Maximum ordering (CountTree / seal-rank) updates allowed per key per
-  /// batch interval (the `budget` of Alg. 1). Bounds total update work.
+  /// Maximum rank refreshes allowed per key per batch interval (the
+  /// `budget` of Alg. 1). Bounds total update work.
   uint32_t budget = 16;
   /// Estimated tuples in the interval (N_est), from the receiver's EWMA of
   /// past data rates. Used to derive the initial frequency step
@@ -53,28 +52,21 @@ struct AccumulatorOptions {
   SketchSettings sketch;
 };
 
-/// \brief Selects the Alg. 1 accumulator implementation.
+/// \brief Selects the Alg. 1 accumulator implementation. The values are
+/// fixed: parameterized test names print them.
 enum class AccumulatorKind {
-  /// FlatMap chains + AVL CountTree: the original literal transcription of
-  /// Alg. 1. Kept as the differential-testing reference.
-  kLegacyChain,
-  /// Robin-hood open addressing over an append-only tuple log with a
-  /// radix-partitioned seal. Bit-identical output, no per-update tree
-  /// rebalancing — the default.
-  kFlat,
+  /// Exact per-key state: open addressing over an append-only tuple log,
+  /// with the key order materialized once at seal (core/flat_accumulator.h).
+  kFlat = 1,
   /// Heavy-hitter mode (DESIGN.md §17): a Space-Saving sketch decides which
   /// keys earn exact counters and runs; everything else flows through
   /// hash-partitioned tail buckets with no per-key state. Key-proportional
   /// memory is O(sketch capacity), not O(distinct keys).
-  kSketch,
+  kSketch = 2,
 };
 
-/// Canonical lowercase name ("legacy" / "flat" / "sketch") for flags and logs.
+/// Canonical lowercase name ("flat" / "sketch") for logs.
 const char* AccumulatorKindName(AccumulatorKind kind);
-
-/// Parses "flat" / "legacy" / "sketch" (also accepts "legacy_chain").
-/// Returns false on unknown names, leaving *out untouched.
-bool ParseAccumulatorKind(std::string_view name, AccumulatorKind* out);
 
 /// \brief One entry of the sealed quasi-sorted key list:
 /// `⟨key, count, tupleList⟩`, the tuple list being the `count` tuples from
@@ -216,9 +208,8 @@ class Accumulator {
   virtual uint64_t num_tuples() const = 0;
   virtual uint64_t num_keys() const = 0;
 
-  /// Total budgeted ordering updates in the current batch (CountTree
-  /// repositionings for the legacy chain, seal-rank refreshes for the flat
-  /// implementation; bounded by num_keys * budget either way).
+  /// Total budgeted rank refreshes in the current batch (bounded by
+  /// num_keys * budget).
   virtual uint64_t ordering_updates() const = 0;
 
   /// Bytes of buffer capacity currently held (tuple storage + hash table +
@@ -229,11 +220,12 @@ class Accumulator {
   /// Bytes of *key-proportional* state only: hash tables, per-key records,
   /// sketches, ordering structures — excluding tuple buffers, which are
   /// O(tuples) in every mode. This is the memory-wall axis heavy-hitter mode
-  /// exists to bound: O(distinct keys) for the exact accumulators,
+  /// exists to bound: O(distinct keys) for the exact accumulator,
   /// O(sketch capacity) for kSketch.
   virtual size_t key_state_bytes() const = 0;
 
   virtual const AccumulatorOptions& options() const = 0;
+  /// Takes effect at the next Begin().
   virtual void set_options(const AccumulatorOptions& o) = 0;
 };
 

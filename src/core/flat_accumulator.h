@@ -1,39 +1,40 @@
-// Flat implementation of Alg. 1 (paper §4.1): robin-hood hashing over an
-// append-only tuple log, with the CountTree replaced by one counting-sort
-// order at seal. Callers should obtain it via MakeAccumulator()
-// (accumulator_api.h) rather than naming this class.
+// The exact implementation of Alg. 1 (paper §4.1): a hash table over an
+// append-only tuple log, with the key order materialized once at seal.
+// Callers should obtain it via MakeAccumulator() (accumulator_api.h) rather
+// than naming this class.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/macros.h"
-#include "common/robin_hood_map.h"
 #include "core/accumulator_api.h"
+#include "core/key_budget.h"
 #include "core/rank_order.h"
 
 namespace prompt {
 
-/// \brief The fast-path accumulator. Produces output bit-identical to
-/// LegacyChainAccumulator — same key order, counts, and per-key tuple
-/// sequences — without maintaining an ordering structure per tuple.
+/// \brief The exact accumulator behind `key_mode = exact`.
 ///
-/// Key insight: the legacy CountTree orders keys ascending by
-/// (count, key), and its reverse in-order seal therefore emits descending
-/// (freq_updated, key) — larger key first on count ties — where
-/// freq_updated is each key's last *budgeted* frequency. That final rank is
-/// fully determined by the per-key budget state machine (f_step / t_next),
-/// which is plain integer arithmetic independent of the tree. So this
-/// implementation runs the identical state machine per tuple — updating a
-/// key's freq_updated costs a few ALU ops instead of an O(log K) AVL
-/// erase+insert — and materializes the order once at Seal() with the shared
-/// rank order (core/rank_order.h): a counting sort on freq_updated, then a
-/// radix sort by key inside each equal-frequency run. Keys are distinct, so
-/// (freq_updated desc, key desc) is a total order.
-/// OnTuple appends each tuple and its key's slot to two logs. Seal() lays the
-/// runs out in first-arrival order of their keys and scatters the log into
-/// them (ScatterBySlot), so each key's tuples are contiguous and in arrival
-/// order.
+/// Order contract: Seal() emits keys in descending (freq_updated, key)
+/// order — the larger key first on count ties — where freq_updated is each
+/// key's last *budgeted* frequency under Alg. 1's per-key budget
+/// (core/key_budget.h), while every run carries the key's exact count and
+/// its tuples in arrival order. This is the order the paper's tree of
+/// counts yields when walked from its largest entry; it is pinned by
+/// fingerprints recorded from a literal transcription of Alg. 1 (hash-table
+/// chains + an AVL tree of counts), in
+/// tests/core/accumulator_differential_test.cc.
+///
+/// The rank is fully determined by the budget state machine, which is plain
+/// integer arithmetic, so no ordering structure is kept per tuple: OnTuple
+/// runs the state machine in a few ALU ops and appends the tuple and its
+/// key's slot to two logs. Seal() orders the keys once with the shared rank
+/// order (core/rank_order.h) — a counting sort on freq_updated, then a
+/// radix sort by key inside each equal-frequency run; keys are distinct, so
+/// the order is total — lays the runs out in first-arrival order of their
+/// keys, and scatters the log into them (ScatterBySlot).
 class FlatAccumulator final : public Accumulator {
  public:
   explicit FlatAccumulator(AccumulatorOptions options = {})
@@ -63,21 +64,15 @@ class FlatAccumulator final : public Accumulator {
   void set_options(const AccumulatorOptions& o) override { options_ = o; }
 
  private:
-  /// Per-key state, dense (index-addressed by the hash table's value). Same
-  /// budget fields and transitions as the legacy KeyState; `key` is carried
-  /// here so Seal() never touches the hash table.
-  struct KeyState {
-    uint64_t freq_current = 0;
-    uint64_t freq_updated = 0;
-    uint64_t f_step = 1;
-    TimeMicros t_next = 0;
+  /// Per-key state, dense (index-addressed by the hash table's value);
+  /// `key` is carried here so Seal() never touches the hash table.
+  struct KeyState : KeyBudget {
     KeyId key = 0;
-    uint32_t budget_left = 0;
     /// Seal(): where the key's next tuple goes in sealed_.
     uint64_t cursor = 0;
   };
+  static_assert(sizeof(KeyState) == 56, "per-key record size changed");
 
-  void RankUpdate(KeyState& ks, TimeMicros now);
   /// Places every key's run, in first-arrival order, and points each key's
   /// scatter cursor at the start of its run.
   void PlaceRuns();
@@ -89,7 +84,7 @@ class FlatAccumulator final : public Accumulator {
   AccumulatedBatch MakeBatch(std::vector<SortedKeyRun> keys);
 
   AccumulatorOptions options_;
-  RobinHoodMap<uint32_t> table_;  ///< key -> index into states_
+  FlatMap<uint32_t> table_;  ///< key -> index into states_
   std::vector<KeyState> states_;
   /// Arrival-order tuple log and, per tuple, its key's index in states_.
   std::vector<Tuple> log_;
@@ -98,10 +93,8 @@ class FlatAccumulator final : public Accumulator {
   std::vector<Tuple> sealed_;
   /// Seal() order buffers; member so their capacity survives across batches.
   RankOrderScratch rank_scratch_;
-  TimeMicros batch_start_ = 0;
-  TimeMicros batch_end_ = 0;
+  BudgetRule rule_;
   uint64_t num_tuples_ = 0;
-  uint64_t initial_f_step_ = 1;
   uint64_t ordering_updates_ = 0;
 };
 

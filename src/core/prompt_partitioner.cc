@@ -84,8 +84,8 @@ PartitionPlan BuildPromptPlan(const AccumulatedBatch& batch,
 
   // --- Pass 1 (lines 5-9): fragment high-frequency keys. Keys arrive in
   // quasi-descending order, so the prefix holds the candidates; a stale
-  // CountTree ordering may leave a large key further in, which the loop
-  // below still catches by checking every key's exact count.
+  // budgeted rank may leave a large key further in, which the loop below
+  // still catches by checking every key's exact count.
   struct Residual {
     uint32_t key_index;
     uint64_t remaining;

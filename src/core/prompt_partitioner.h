@@ -35,9 +35,6 @@ struct PartitionPlan {
 /// \brief Options of the Prompt batching-phase partitioner.
 struct PromptPartitionerOptions {
   AccumulatorOptions accumulator;
-  /// Which Alg. 1 implementation buffers the batch (flat by
-  /// default; both produce bit-identical sealed output).
-  AccumulatorKind accumulator_kind = AccumulatorKind::kFlat;
   /// Use the exact post-sort at seal instead of the maintained quasi-sorted
   /// order (the Fig. 14a "Post-Sort" ablation).
   bool post_sort = false;
@@ -68,7 +65,7 @@ class PromptPartitioner final : public BatchPartitioner {
   explicit PromptPartitioner(PromptPartitionerOptions options = {})
       : options_(options),
         accumulator_(
-            MakeAccumulator(options.accumulator_kind, options.accumulator)) {}
+            MakeAccumulator(AccumulatorKind::kFlat, options.accumulator)) {}
 
   const char* name() const override {
     return options_.post_sort ? "Prompt+PostSort" : "Prompt";

@@ -29,8 +29,7 @@ const char* SketchAccumulator::name() const {
 
 void SketchAccumulator::Begin(TimeMicros start, TimeMicros end) {
   PROMPT_CHECK(end > start);
-  batch_start_ = start;
-  batch_end_ = end;
+  rule_ = BudgetRule(options_, end);
   num_tuples_ = 0;
   head_tuples_ = 0;
   tail_tuples_ = 0;
@@ -63,10 +62,6 @@ void SketchAccumulator::Begin(TimeMicros start, TimeMicros end) {
   const uint32_t buckets = std::max<uint32_t>(1, options_.sketch.tail_buckets);
   tail_buckets_.assign(buckets, TailBucket{});
 
-  // Same step seeding as the exact paths: f <- N_est / (K_avg * budget).
-  const uint64_t denom =
-      std::max<uint64_t>(1, options_.avg_keys * options_.budget);
-  initial_f_step_ = std::max<uint64_t>(1, options_.estimated_tuples / denom);
   // Auto promotion threshold: a key earns exact state once it looks several
   // times heavier than the average key. Clamped below so uniform streams
   // (N_est ~ K_avg) don't promote the entire key space.
@@ -83,7 +78,7 @@ void SketchAccumulator::Reset() {
   head_tuples_ = 0;
   tail_tuples_ = 0;
   ordering_updates_ = 0;
-  table_ = RobinHoodMap<uint32_t>(1024);
+  table_ = FlatMap<uint32_t>(1024);
   std::vector<KeyState>().swap(states_);
   std::vector<TailBucket>().swap(tail_buckets_);
   std::vector<Tuple>().swap(log_);
@@ -108,23 +103,6 @@ size_t SketchAccumulator::capacity_bytes() const {
          log_slot_.capacity() * sizeof(uint32_t);
 }
 
-void SketchAccumulator::RankUpdate(KeyState& ks, TimeMicros now) {
-  // Identical budget state machine to the flat accumulator; only the head
-  // keys pay for ordering maintenance, so total rank work is bounded by
-  // sketch_capacity * budget regardless of the distinct-key count.
-  ++ordering_updates_;
-  ks.freq_updated = ks.freq_current;
-  if (ks.budget_left > 0) --ks.budget_left;
-  const uint64_t n_c = std::max<uint64_t>(1, num_tuples_);
-  const uint64_t base =
-      std::max<uint64_t>(1, options_.estimated_tuples /
-                                std::max<uint32_t>(1, options_.budget));
-  ks.f_step = std::max<uint64_t>(1, base * ks.freq_current / n_c);
-  const TimeMicros remaining = std::max<TimeMicros>(0, batch_end_ - now);
-  ks.t_next =
-      now + remaining / std::max<uint32_t>(1, ks.budget_left ? ks.budget_left : 1);
-}
-
 uint32_t SketchAccumulator::Promote(KeyId key, uint64_t estimate,
                                     TimeMicros now) {
   // The key leaves the sketch — its counter slot goes back to tracking tail
@@ -134,16 +112,8 @@ uint32_t SketchAccumulator::Promote(KeyId key, uint64_t estimate,
   sketch_->Remove(key);
   const uint32_t state_idx = static_cast<uint32_t>(states_.size());
   table_.GetOrInsert(key) = state_idx;
-  KeyState ks;
-  ks.key = key;
-  ks.freq_current = 1;
-  ks.freq_updated = 1;
-  ks.rank_base = estimate > 0 ? estimate - 1 : 0;
-  ks.budget_left = options_.budget;
-  ks.f_step = initial_f_step_;
-  const TimeMicros remaining = std::max<TimeMicros>(0, batch_end_ - now);
-  ks.t_next = now + remaining / std::max<uint32_t>(1, options_.budget);
-  states_.push_back(ks);
+  states_.push_back(
+      KeyState{rule_.First(now), estimate > 0 ? estimate - 1 : 0, key, 0});
   return static_cast<uint32_t>(tail_buckets_.size()) + state_idx;
 }
 
@@ -152,16 +122,16 @@ void SketchAccumulator::OnTuple(const Tuple& t) {
   ++num_tuples_;
   log_.push_back(t);
 
-  // Head path: the key already has exact state.
+  // Head path: the key already has exact state. Only head keys pay for
+  // rank refreshes, so rank work is bounded by capacity * budget whatever
+  // the distinct-key count.
   if (uint32_t* state_idx = table_.Find(t.key)) {
     log_slot_.push_back(static_cast<uint32_t>(tail_buckets_.size()) +
                         *state_idx);
-    KeyState& ks = states_[*state_idx];
-    ++ks.freq_current;
     ++head_tuples_;
-    if (ks.budget_left == 0) return;
-    const uint64_t delta_freq = ks.freq_current - ks.freq_updated;
-    if (delta_freq >= ks.f_step || now >= ks.t_next) RankUpdate(ks, now);
+    if (rule_.Count(states_[*state_idx], num_tuples_, now)) {
+      ++ordering_updates_;
+    }
     return;
   }
 

@@ -12,9 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/macros.h"
-#include "common/robin_hood_map.h"
 #include "core/accumulator_api.h"
+#include "core/key_budget.h"
 #include "stats/count_min.h"
 #include "stats/hyperloglog.h"
 #include "stats/space_saving.h"
@@ -25,8 +26,8 @@ namespace prompt {
 ///
 /// Per tuple, exactly one of two paths runs:
 ///   head — the key already holds exact state (it was promoted): log the
-///   tuple, bump the exact count, run the same budget-limited rank state
-///   machine as the flat accumulator;
+///   tuple, bump the exact count, run the same budget rule as the flat
+///   accumulator (core/key_budget.h);
 ///   tail — feed the Space-Saving sketch (plus the optional Count-Min
 ///   cross-check) and, if the key's estimate now clears the promotion
 ///   threshold and a counter slot is free, promote it: it leaves the sketch
@@ -87,22 +88,17 @@ class SketchAccumulator final : public Accumulator {
   SketchBatchStats ComputeStats() const;
 
  private:
-  /// Exact state for a promoted key. Budget fields mirror FlatAccumulator's
-  /// KeyState; rank_base carries the sketch estimate at promotion so seal
-  /// ordering reflects full-batch frequency while counts stay exact.
-  struct KeyState {
-    uint64_t freq_current = 0;
-    uint64_t freq_updated = 0;
+  /// Exact state for a promoted key. rank_base carries the sketch estimate
+  /// at promotion so seal ordering reflects full-batch frequency while
+  /// counts stay exact.
+  struct KeyState : KeyBudget {
     uint64_t rank_base = 0;
-    uint64_t f_step = 1;
-    TimeMicros t_next = 0;
     KeyId key = 0;
-    uint32_t budget_left = 0;
     /// Seal(): where the key's next tuple goes in sealed_.
     uint64_t cursor = 0;
   };
+  static_assert(sizeof(KeyState) == 64, "per-key record size changed");
 
-  void RankUpdate(KeyState& ks, TimeMicros now);
   /// Gives `key` exact state; returns its tuple slot.
   uint32_t Promote(KeyId key, uint64_t estimate, TimeMicros now);
   /// Lays out the promoted keys' runs in promotion order, then the tail
@@ -119,7 +115,7 @@ class SketchAccumulator final : public Accumulator {
   std::unique_ptr<SpaceSaving> sketch_;
   std::unique_ptr<CountMin> cms_;  ///< null when cms_width == 0
   HyperLogLog hll_;
-  RobinHoodMap<uint32_t> table_;  ///< promoted key -> index into states_
+  FlatMap<uint32_t> table_;  ///< promoted key -> index into states_
   std::vector<KeyState> states_;
   std::vector<TailBucket> tail_buckets_;
   /// Arrival-order tuple log and, per tuple, its slot: tail bucket b is slot
@@ -128,13 +124,11 @@ class SketchAccumulator final : public Accumulator {
   std::vector<uint32_t> log_slot_;
   /// Seal() output: runs, then tail buckets, each contiguous.
   std::vector<Tuple> sealed_;
-  TimeMicros batch_start_ = 0;
-  TimeMicros batch_end_ = 0;
+  BudgetRule rule_;
   uint64_t num_tuples_ = 0;
   uint64_t head_tuples_ = 0;
   uint64_t tail_tuples_ = 0;
   uint64_t promote_threshold_ = 0;
-  uint64_t initial_f_step_ = 1;
   uint64_t ordering_updates_ = 0;
 };
 

@@ -759,9 +759,11 @@ void MicroBatchEngine::Persist(uint32_t owner, const QueryContext& ctx,
     PROMPT_LOG(kWarn) << "tenant " << ctx.id()
                       << ": durable append failed: " << st.ToString();
   }
-  if (batch.batch_id >= ctx.window->depth()) {
+  // Same rule as the cluster path: a batch is dropped once it leaves the
+  // query's window, never while it can still be recovered into it.
+  if (batch.batch_id >= ctx.job.window_batches) {
     if (Status st =
-            durable_->Evict(owner, batch.batch_id - ctx.window->depth());
+            durable_->Evict(owner, batch.batch_id - ctx.job.window_batches);
         !st.ok()) {
       PROMPT_LOG(kWarn) << "tenant " << ctx.id()
                         << ": durable evict failed: " << st.ToString();
@@ -776,6 +778,7 @@ void MicroBatchEngine::Observe(const Tenant& tenant, const BatchReport& report,
     RecordBatchTrace(report, interval, batch_start);
     trace = obs_->recorder()->EndBatch(report.num_tuples, report.num_keys,
                                        report.latency);
+    trace.labels = tenant.stream->labels;
   }
   obs_->OnBatchComplete(report, trace, tenant.stream);
 }

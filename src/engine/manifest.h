@@ -71,12 +71,6 @@ inline Status ParseValue(std::string_view text, ExecutionMode* out) {
   *out = text == "real" ? ExecutionMode::kReal : ExecutionMode::kSimulated;
   return Known(text == "real" || text == "simulated", "a mode", text);
 }
-inline std::string FormatValue(AccumulatorKind value) {
-  return AccumulatorKindName(value);
-}
-inline Status ParseValue(std::string_view text, AccumulatorKind* out) {
-  return Known(ParseAccumulatorKind(text, out), "an accumulator", text);
-}
 inline std::string FormatValue(KeyMode value) { return KeyModeName(value); }
 inline Status ParseValue(std::string_view text, KeyMode* out) {
   return Known(ParseKeyMode(text, out), "a key mode", text);
@@ -220,7 +214,7 @@ void AdaptThresholdFields(ManifestVisitor& v, Adapt& a) {
 
 template <typename Config>
 void PartitionerConfigFields(ManifestVisitor& v, Config& c) {
-  v("partitioner.accumulator", c.prompt.accumulator_kind);
+  v.Const("partitioner.accumulator", "flat");
   v("partitioner.post_sort", c.prompt.post_sort);
   v("partitioner.cam_candidates", c.cam_candidates);
   v("partitioner.sketch_capacity", c.sketch_capacity, AtLeast(1));
@@ -247,7 +241,7 @@ template <typename Ingest>
 void IngestFields(ManifestVisitor& v, Ingest& i) {
   v("ingest.shards", i.shards, AtLeast(1));
   v("ingest.ring_capacity", i.ring_capacity, AtLeast(2));
-  v("ingest.accumulator", i.accumulator);
+  v.Const("ingest.accumulator", "flat");
   v("ingest.key_mode", i.key_mode);
   if (v.Optional(i.key_mode == KeyMode::kSketch)) {
     auto& sketch = i.accumulator_options.sketch;

@@ -57,11 +57,9 @@ ParallelIngestPipeline::ParallelIngestPipeline(IngestOptions options)
     : options_(options) {
   PROMPT_CHECK(options_.shards >= 1);
   PROMPT_CHECK(options_.ring_capacity >= 2);
-  // Heavy-hitter mode forces the sketch accumulator on every shard; the
-  // `accumulator` knob only selects among the exact implementations.
   const AccumulatorKind kind = options_.key_mode == KeyMode::kSketch
                                    ? AccumulatorKind::kSketch
-                                   : options_.accumulator;
+                                   : AccumulatorKind::kFlat;
   shard_options_ =
       ScaleForShard(options_.accumulator_options, options_.shards);
   shards_.reserve(options_.shards);

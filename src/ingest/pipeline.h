@@ -5,10 +5,10 @@
 // ingestion queue into one accumulator — so Alg. 1 throughput is capped by
 // one core. Prompt's design shards cleanly: per-key accumulator state is
 // independent across disjoint key sets, so tuples routed by hash(key) % S
-// land in S private accumulators (any AccumulatorKind) that never share
-// state. At the early-release cut-off a seal barrier stops all shards and a
-// loser-tree k-way merge interleaves the per-shard quasi-sorted run lists
-// into one global quasi-sorted list with exact counts, which feeds Alg. 2
+// land in S private accumulators that never share state. At the
+// early-release cut-off a seal barrier stops all shards and a loser-tree
+// k-way merge interleaves the per-shard quasi-sorted run lists into one
+// global quasi-sorted list with exact counts, which feeds Alg. 2
 // (BuildPromptPlan) unchanged.
 //
 // Thread roles:
@@ -66,15 +66,12 @@ struct IngestOptions {
   /// Per-shard SPSC ring capacity (rounded up to a power of two). A full
   /// ring blocks the router — back-pressure toward the source.
   size_t ring_capacity = 16 * 1024;
-  /// Which Alg. 1 implementation every shard runs (flat by
-  /// default; the exact kinds produce bit-identical sealed output).
-  /// Ignored when key_mode == kSketch, which forces the sketch accumulator.
-  AccumulatorKind accumulator = AccumulatorKind::kFlat;
-  /// Exact vs heavy-hitter ingest. kSketch overrides `accumulator` with
-  /// AccumulatorKind::kSketch on every shard; the per-shard sketches are
-  /// folded into global batch telemetry at the seal barrier and global tail
-  /// bucket i is every shard's bucket i, in shard order (same tail hash on
-  /// every shard, so bucket i holds the same key slice everywhere).
+  /// Exact vs heavy-hitter ingest: every shard runs the flat accumulator
+  /// (kExact) or the sketch accumulator (kSketch). In sketch mode the
+  /// per-shard sketches are folded into global batch telemetry at the seal
+  /// barrier and global tail bucket i is every shard's bucket i, in shard
+  /// order (same tail hash on every shard, so bucket i holds the same key
+  /// slice everywhere).
   KeyMode key_mode = KeyMode::kExact;
   /// Base (whole-batch) Alg. 1 options — the budget / N_est / K_avg
   /// overrides. Each shard receives a proportionally scaled copy:

@@ -26,8 +26,9 @@ Observability::Observability(ObservabilityOptions options)
   }
 
   if (options_.metrics_enabled) registry_ = std::make_unique<MetricsRegistry>();
+  // The unlabeled stream's series are registered when it is first asked
+  // for, so a run that publishes only labeled streams shows none of them.
   streams_.push_back(std::make_unique<Stream>());
-  BindStream(streams_.front().get());
 
   if (!options_.trace_path.empty()) {
     auto sink = FileTraceSink::Open(options_.trace_path);
@@ -81,7 +82,7 @@ Observability::~Observability() {
 }
 
 void Observability::BindStream(Stream* stream) {
-  if (registry_ == nullptr) return;
+  if (registry_ == nullptr || stream->batches_total != nullptr) return;
   const MetricLabels& labels = stream->labels;
   stream->batches_total = registry_->GetCounter("prompt_batches_total", labels);
   stream->tuples_total = registry_->GetCounter("prompt_tuples_total", labels);
@@ -100,7 +101,10 @@ void Observability::BindStream(Stream* stream) {
 }
 
 Observability::Stream* Observability::AddStream(const MetricLabels& labels) {
-  if (labels.empty()) return streams_.front().get();
+  if (labels.empty()) {
+    BindStream(streams_.front().get());
+    return streams_.front().get();
+  }
   auto stream = std::make_unique<Stream>();
   stream->labels = labels;
   BindStream(stream.get());
@@ -134,7 +138,7 @@ void Observability::OnRunStart(uint32_t num_batches) {
 
 void Observability::OnBatchComplete(const BatchReport& report,
                                     const BatchTrace& trace) {
-  OnBatchComplete(report, trace, streams_.front().get());
+  OnBatchComplete(report, trace, AddStream({}));
 }
 
 void Observability::OnBatchComplete(const BatchReport& report,

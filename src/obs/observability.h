@@ -154,7 +154,8 @@ class Observability final : public Observer {
   };
   /// The stream for reports labeled `labels`. Empty labels give the
   /// unlabeled stream, the one the Observer interface feeds: the registry's
-  /// plain series and the default time series. Labeled streams (a tenant's
+  /// plain series (registered on its first request) and the default time
+  /// series. Labeled streams (a tenant's
   /// {{"tenant", id}}) update the same series under their labels plus
   /// `prompt_tenant_slots`, feed a time series of their own (served at
   /// `/timeseries.json?tenant=<the first label's value>`) and tag their
@@ -189,7 +190,7 @@ class Observability final : public Observer {
 
  private:
   /// Registers `stream`'s eager series under its labels (no-op without a
-  /// registry).
+  /// registry or once registered).
   void BindStream(Stream* stream);
 
   ObservabilityOptions options_;

@@ -129,8 +129,11 @@ void TableSink::Write(const Record& record) {
 }
 
 void JsonlTraceSink::Write(const BatchTrace& trace) {
-  *out_ << "{\"batch_id\":" << trace.batch_id
-        << ",\"start_us\":" << trace.batch_start
+  *out_ << "{\"batch_id\":" << trace.batch_id;
+  for (const auto& [key, value] : trace.labels) {
+    *out_ << ",\"" << JsonEscape(key) << "\":\"" << JsonEscape(value) << '"';
+  }
+  *out_ << ",\"start_us\":" << trace.batch_start
         << ",\"latency_us\":" << trace.latency
         << ",\"tuples\":" << trace.num_tuples << ",\"keys\":" << trace.num_keys
         << ",\"spans\":[";

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -33,6 +34,9 @@ struct TraceSpan {
 /// \brief One batch's trace: identity, totals and the span list.
 struct BatchTrace {
   uint64_t batch_id = 0;
+  /// The labels of the report stream the batch was published on (a
+  /// tenant's {{"tenant", id}}); empty for a single-query run.
+  std::vector<std::pair<std::string, std::string>> labels;
   /// Batch interval start on the engine's timeline (virtual time).
   TimeMicros batch_start = 0;
   /// Reported end-to-end latency the depth-0 spans should account for.

@@ -1,5 +1,6 @@
 // Space-Saving heavy-hitter sketch (Metwally et al.) — the bounded-memory,
-// approximate alternative to Prompt's exact HTable+CountTree statistics.
+// approximate alternative to Prompt's exact per-key statistics (the flat
+// accumulator's hash table and per-key counts).
 // Gedik's partitioning functions [18] use lossy counting in the same role;
 // the paper's position (§2.2.4) is that micro-batching makes *exact*
 // per-batch statistics affordable. Under the heavy-hitter ingest mode

@@ -191,5 +191,19 @@ TEST(FlatMapTest, HandlesAdversarialKeys) {
   }
 }
 
+// The accumulators report key_state_bytes() from capacity_bytes(): it must
+// grow with the slot array, cover every slot, and survive Clear().
+TEST(FlatMapTest, CapacityBytesTracksStorage) {
+  FlatMap<uint64_t> map;
+  const size_t before = map.capacity_bytes();
+  for (uint64_t k = 0; k < 10000; ++k) map.GetOrInsert(k) = k;
+  EXPECT_GT(map.capacity_bytes(), before);
+  EXPECT_GE(map.capacity_bytes(),
+            map.capacity() * (sizeof(FlatMap<uint64_t>::Slot) + 1));
+  const size_t grown = map.capacity_bytes();
+  map.Clear();
+  EXPECT_EQ(map.capacity_bytes(), grown);
+}
+
 }  // namespace
 }  // namespace prompt

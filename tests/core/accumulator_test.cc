@@ -20,10 +20,8 @@ using testing::ZipfTuples;
 constexpr TimeMicros kStart = 0;
 constexpr TimeMicros kEnd = Seconds(1);
 
-// Every behavioural test runs against both implementations of the
-// Accumulator interface: the legacy CountTree chain and the flat
-// rewrite. The two must be observationally identical (see
-// accumulator_differential_test.cc for the bit-identity fuzz).
+// The behavioural tests of the exact Accumulator; its output is pinned to
+// recorded fingerprints in accumulator_differential_test.cc.
 class AccumulatorTest : public ::testing::TestWithParam<AccumulatorKind> {
  protected:
   std::unique_ptr<Accumulator> Make(AccumulatorOptions opts = {}) const {
@@ -32,8 +30,7 @@ class AccumulatorTest : public ::testing::TestWithParam<AccumulatorKind> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Kinds, AccumulatorTest,
-                         ::testing::Values(AccumulatorKind::kLegacyChain,
-                                           AccumulatorKind::kFlat),
+                         ::testing::Values(AccumulatorKind::kFlat),
                          [](const auto& info) {
                            return std::string(AccumulatorKindName(info.param));
                          });
@@ -264,21 +261,10 @@ TEST_P(AccumulatorTest, SingleKeyBatch) {
 
 TEST(AccumulatorFactoryTest, KindNamesRoundTrip) {
   EXPECT_STREQ(AccumulatorKindName(AccumulatorKind::kFlat), "flat");
-  EXPECT_STREQ(AccumulatorKindName(AccumulatorKind::kLegacyChain), "legacy");
-  AccumulatorKind kind;
-  EXPECT_TRUE(ParseAccumulatorKind("flat", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kFlat);
-  EXPECT_TRUE(ParseAccumulatorKind("legacy", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kLegacyChain);
-  EXPECT_TRUE(ParseAccumulatorKind("legacy_chain", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kLegacyChain);
-  EXPECT_FALSE(ParseAccumulatorKind("treap", &kind));
 }
 
 TEST(AccumulatorFactoryTest, FactoryReportsKindName) {
   EXPECT_STREQ(MakeAccumulator(AccumulatorKind::kFlat)->name(), "flat");
-  EXPECT_STREQ(MakeAccumulator(AccumulatorKind::kLegacyChain)->name(),
-               "legacy");
 }
 
 // The sealed layout every producer writes and the ingest merge relies on:
@@ -291,8 +277,7 @@ TEST(SealedLayoutTest, RunsThenTailBucketsTileTheTuples) {
   opts.sketch.tail_buckets = 8;
   const auto tuples = ZipfTuples(8000, 500, 1.1, kStart, kEnd);
   for (const AccumulatorKind kind :
-       {AccumulatorKind::kLegacyChain, AccumulatorKind::kFlat,
-        AccumulatorKind::kSketch}) {
+       {AccumulatorKind::kFlat, AccumulatorKind::kSketch}) {
     auto acc = MakeAccumulator(kind, opts);
     for (const bool post_sort : {false, true}) {
       acc->Begin(kStart, kEnd);

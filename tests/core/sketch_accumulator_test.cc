@@ -42,9 +42,6 @@ std::map<KeyId, uint64_t> FeedZipf(Accumulator& acc, uint64_t seed, size_t n,
 }
 
 TEST(SketchAccumulatorTest, FactoryAndParse) {
-  AccumulatorKind kind;
-  ASSERT_TRUE(ParseAccumulatorKind("sketch", &kind));
-  EXPECT_EQ(kind, AccumulatorKind::kSketch);
   auto acc = MakeAccumulator(AccumulatorKind::kSketch);
   EXPECT_STREQ(acc->name(), "sketch");
   EXPECT_STREQ(AccumulatorKindName(AccumulatorKind::kSketch), "sketch");

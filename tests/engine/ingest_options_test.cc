@@ -11,7 +11,6 @@ TEST(IngestOptionsAliasTest, DefaultsAreUntouched) {
   EngineOptions opts;
   EXPECT_EQ(opts.ingest.shards, 1u);
   EXPECT_EQ(opts.ingest.ring_capacity, 16u * 1024u);
-  EXPECT_EQ(opts.ingest.accumulator, AccumulatorKind::kFlat);
 }
 
 }  // namespace

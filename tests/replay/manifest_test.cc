@@ -98,7 +98,6 @@ EngineOptions GoldenOptions(const std::string& journal_dir,
   o.adapt.calm_split_key_frac = 0.03;
   o.adapt.candidates = {PartitionerType::kHash, PartitionerType::kPk5,
                         PartitionerType::kPrompt};
-  o.adapt.config.prompt.accumulator_kind = AccumulatorKind::kLegacyChain;
   o.adapt.config.cam_candidates = 5;
   o.adapt.config.sketch_capacity = 300;
   o.obs.collect_partition_metrics = true;

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,6 +18,7 @@
 
 #include "baselines/factory.h"
 #include "engine/engine.h"
+#include "obs/sink.h"
 #include "query/parser.h"
 #include "workload/composite_source.h"
 #include "workload/key_map.h"
@@ -398,6 +400,109 @@ TEST(MultiTenantEngineTest, RealModeDurableRestartMatchesSimulated) {
     EXPECT_EQ(real.recovered[t], simulated.recovered[t]) << "tenant " << t;
     EXPECT_EQ(real.recovered[t], real.before[t]) << "tenant " << t;
   }
+}
+
+// A restart inside the first W heartbeats recovers every batch written so
+// far: the store drops a batch only once it leaves its query's window, so
+// after 2 heartbeats (fewer than either window: W = 5 and W = 3) both
+// tenants recover 2 batches each and rebuild their windows exactly.
+TEST(MultiTenantEngineTest, EarlyRestartRecoversEveryStoredBatch) {
+  const std::string dir = ::testing::TempDir() + "/mt_early_restart";
+  std::filesystem::remove_all(dir);
+  MultiTenantEngineOptions opts = FastOptions(/*total_slots=*/4);
+  opts.store.dir = dir;
+  TenantQuerySpec all =
+      MakeSpec("all", 1, "SELECT COUNT WINDOW 1000MS SLIDE 200MS");
+  all.technique = PartitionerType::kPrompt;
+  TenantQuerySpec odd = MakeSpec(
+      "odd", 1, "SELECT MAX WINDOW 600MS SLIDE 200MS", ModFilter(2, 1));
+  odd.technique = PartitionerType::kPk2;
+
+  std::vector<std::unordered_map<KeyId, double>> before;
+  for (const bool restart : {false, true}) {
+    auto source = MakeSource(12000, 1.1, 800, 31);
+    auto mt = MultiTenantEngine::Create(opts, {all, odd}, source.get());
+    ASSERT_TRUE(mt.ok()) << mt.status().message();
+    MultiTenantEngine& engine = *mt.ValueOrDie();
+    if (!restart) {
+      engine.Run(2);
+      for (size_t t = 0; t < engine.tenants(); ++t) {
+        before.push_back(engine.window(t).Result());
+      }
+      continue;
+    }
+    EXPECT_EQ(engine.durable_recovery().batches_recovered, 4u);
+    EXPECT_FALSE(engine.durable_recovery().data_loss);
+    ASSERT_EQ(engine.tenants(), before.size());
+    for (size_t t = 0; t < engine.tenants(); ++t) {
+      EXPECT_FALSE(before[t].empty()) << "tenant " << t;
+      EXPECT_EQ(engine.window(t).Result(), before[t]) << "tenant " << t;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Each trace record of a two-tenant run names its tenant right after the
+// batch id: one record per tenant per heartbeat, in tenant order.
+TEST(MultiTenantEngineTest, TraceRecordsNameTheirTenant) {
+  auto source = MakeSource(20000, 1.1, 800, 5);
+  auto mt = MultiTenantEngine::Create(
+      FastOptions(/*total_slots=*/4),
+      {MakeSpec("even", 1, "SELECT COUNT WINDOW 600MS SLIDE 200MS",
+                ModFilter(2, 0)),
+       MakeSpec("odd", 3, "SELECT MAX WINDOW 600MS SLIDE 200MS",
+                ModFilter(2, 1))},
+      source.get());
+  ASSERT_TRUE(mt.ok()) << mt.status().message();
+  MultiTenantEngine& engine = *mt.ValueOrDie();
+  std::ostringstream out;
+  engine.observability()->AddTraceSink(std::make_unique<JsonlTraceSink>(&out));
+  engine.Run(3);
+
+  std::istringstream lines(out.str());
+  std::vector<std::string> records;
+  for (std::string line; std::getline(lines, line);) records.push_back(line);
+  ASSERT_EQ(records.size(), 6u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    const std::string prefix = "{\"batch_id\":" + std::to_string(i / 2) +
+                               ",\"tenant\":\"" +
+                               (i % 2 == 0 ? "even" : "odd") + "\",";
+    EXPECT_EQ(records[i].rfind(prefix, 0), 0u) << records[i];
+  }
+}
+
+// A multi-tenant run publishes every report on a tenant's labeled stream,
+// so the registry holds none of the unlabeled per-report series.
+TEST(MultiTenantEngineTest, MetricsRegisterNoUnlabeledReportSeries) {
+  auto source = MakeSource(20000, 1.1, 800, 5);
+  MultiTenantEngineOptions opts = FastOptions(/*total_slots=*/4);
+  opts.obs.metrics_enabled = true;
+  auto mt = MultiTenantEngine::Create(
+      opts,
+      {MakeSpec("even", 1, "SELECT COUNT WINDOW 600MS SLIDE 200MS",
+                ModFilter(2, 0)),
+       MakeSpec("odd", 1, "SELECT COUNT WINDOW 600MS SLIDE 200MS",
+                ModFilter(2, 1))},
+      source.get());
+  ASSERT_TRUE(mt.ok()) << mt.status().message();
+  MultiTenantEngine& engine = *mt.ValueOrDie();
+  engine.Run(2);
+
+  const MetricsRegistry* registry = engine.observability()->registry();
+  ASSERT_NE(registry, nullptr);
+  uint64_t labeled_batches = 0;
+  for (const MetricSample& sample : registry->Snapshot()) {
+    if (sample.name != "prompt_batches_total" &&
+        sample.name != "prompt_tuples_total" &&
+        sample.name != "prompt_batch_latency_us") {
+      continue;
+    }
+    EXPECT_FALSE(sample.labels.empty()) << sample.FullName();
+    if (sample.name == "prompt_batches_total") {
+      labeled_batches += static_cast<uint64_t>(sample.value);
+    }
+  }
+  EXPECT_EQ(labeled_batches, 4u);
 }
 
 // The telemetry server's accept thread scrapes while a kReal two-tenant run

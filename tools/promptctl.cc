@@ -210,9 +210,9 @@ int RunReplay(const std::string& journal_dir, const std::string& record_dir) {
 int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
                    double rate, int batches, int tasks, double zipf,
                    double scale, int seed, int ingest_shards,
-                   AccumulatorKind accumulator, KeyMode key_mode,
-                   int sketch_capacity, double map_us, bool metrics,
-                   int metrics_every, const std::string& metrics_path,
+                   KeyMode key_mode, int sketch_capacity, double map_us,
+                   bool metrics, int metrics_every,
+                   const std::string& metrics_path,
                    int serve_port, int serve_hold_ms,
                    const std::string& autopsy_path,
                    const std::string& trace_path,
@@ -238,13 +238,11 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
   options.map_tasks = static_cast<uint32_t>(tasks);
   options.reduce_tasks = static_cast<uint32_t>(tasks);
   options.ingest.shards = static_cast<uint32_t>(ingest_shards);
-  options.ingest.accumulator = accumulator;
   options.ingest.key_mode = key_mode;
   if (sketch_capacity > 0) {
     options.ingest.accumulator_options.sketch.capacity =
         static_cast<size_t>(sketch_capacity);
   }
-  options.adapt_base.config.prompt.accumulator_kind = accumulator;
   options.cost.map_per_tuple_us = map_us;
   options.cost.map_per_key_us = map_us / 4;
   options.cost.reduce_per_tuple_us = map_us / 8;
@@ -391,11 +389,6 @@ int main(int argc, char** argv) {
   if (*ingest_shards < 1) {
     return Fail(Status::Invalid("--ingest_shards must be >= 1"));
   }
-  const std::string accumulator_name = flags.GetString("accumulator", "flat");
-  AccumulatorKind accumulator = AccumulatorKind::kFlat;
-  if (!ParseAccumulatorKind(accumulator_name, &accumulator)) {
-    return Fail(Status::Invalid("--accumulator must be 'flat' or 'legacy'"));
-  }
   const std::string key_mode_name = flags.GetString("key_mode", "exact");
   KeyMode key_mode = KeyMode::kExact;
   if (!ParseKeyMode(key_mode_name, &key_mode)) {
@@ -511,8 +504,8 @@ int main(int argc, char** argv) {
       }
     }
     return RunMultiTenant(queries_path, *dataset, *rate, *batches, *tasks,
-                          *zipf, *scale, *seed, *ingest_shards, accumulator,
-                          key_mode, *sketch_capacity, *map_us, *metrics,
+                          *zipf, *scale, *seed, *ingest_shards, key_mode,
+                          *sketch_capacity, *map_us, *metrics,
                           *metrics_every, metrics_path, *serve_port,
                           *serve_hold_ms, autopsy_path, trace_path,
                           store_options, scenario_spec, record_dir);
@@ -555,16 +548,12 @@ int main(int argc, char** argv) {
     options.obs.collect_partition_metrics = true;
   }
   options.ingest.shards = static_cast<uint32_t>(*ingest_shards);
-  options.ingest.accumulator = accumulator;
   options.ingest.key_mode = key_mode;
   if (*sketch_capacity > 0) {
     options.ingest.accumulator_options.sketch.capacity =
         static_cast<size_t>(*sketch_capacity);
   }
-  // Keep the partitioner's own accumulator (single-threaded path) and any
-  // adaptive-switch replacements on the same implementation.
   PartitionerConfig partitioner_config;
-  partitioner_config.prompt.accumulator_kind = accumulator;
   // adapt.config is also what the flight recorder's manifest records as the
   // construction config, so keep it literally the config passed to
   // CreatePartitioner below.
@@ -679,10 +668,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "dataset=%s technique=%s accumulator=%s rate=%.0f/s interval=%lldms "
+      "dataset=%s technique=%s rate=%.0f/s interval=%lldms "
       "query=\"%s\"\n\n",
-      DatasetName(*dataset), PartitionerTypeName(*technique),
-      AccumulatorKindName(accumulator), *rate,
+      DatasetName(*dataset), PartitionerTypeName(*technique), *rate,
       static_cast<long long>(query->slide / 1000), query_text.c_str());
 
   if (*crash_after >= 0) {
