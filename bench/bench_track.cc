@@ -497,7 +497,7 @@ double TelemetryOverheadPct() {
     opts.obs.metrics_enabled = true;
     if (telemetry) {
       opts.obs.serve_port = 0;
-      opts.obs.autopsy_enabled = true;
+      opts.obs.autopsy_path = "/dev/null";
     }
     MicroBatchEngine engine(opts, JobSpec::WordCount(8),
                             CreatePartitioner(PartitionerType::kPrompt),

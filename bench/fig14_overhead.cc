@@ -107,10 +107,7 @@ void ObservabilityOverhead() {
     opts.cores = 16;
     opts.cost = BenchCostModel();
     opts.unstable_queue_intervals = 1e9;
-    if (observe) {
-      opts.obs.metrics_enabled = true;
-      opts.obs.trace_enabled = true;
-    }
+    opts.obs.metrics_enabled = observe;
     MicroBatchEngine engine(opts, JobSpec::WordCount(8),
                             CreatePartitioner(PartitionerType::kPrompt),
                             source.get());
@@ -163,7 +160,7 @@ void TelemetryOverhead() {
     opts.obs.metrics_enabled = true;
     if (telemetry) {
       opts.obs.serve_port = 0;  // implies a 1024-deep time series
-      opts.obs.autopsy_enabled = true;
+      opts.obs.autopsy_path = "/dev/null";
     }
     MicroBatchEngine engine(opts, JobSpec::WordCount(8),
                             CreatePartitioner(PartitionerType::kPrompt),
@@ -186,7 +183,7 @@ void TelemetryOverhead() {
   PrintRow({"+telemetry", Fmt(static_cast<double>(on) / 1000.0, 2),
             Fmt(pct, 2) + "%"});
   std::printf(
-      "\nThe telemetry layer adds one ring write + one rule pass per batch\n"
+      "\nThe telemetry layer adds one ring write + one autopsy row per batch\n"
       "and an idle accept thread; scrapes snapshot outside the engine's\n"
       "path. Budget: <2%% (DESIGN.md §8) — expect noise-dominated deltas.\n");
 }

@@ -25,8 +25,9 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" 2>&1 \
   | tee "${LOG_DIR}/ctest.log"
 
 # Observability smoke: a short sharded Zipf run with tracing on must produce
-# exactly one JSONL trace record per batch. The trace lands in $LOG_DIR for
-# artifact upload.
+# exactly one JSONL trace record per batch, each one's depth-0 spans summing
+# to its latency_us, each carrying the seal_barrier and kway_merge spans of
+# the 2-shard ingest. The trace lands in $LOG_DIR for artifact upload.
 "${BUILD_DIR}/tools/promptctl" --dataset=SynD --technique=Prompt \
   --rate=4000 --batches=5 --ingest_shards=2 --zipf=1.0 \
   --trace_out="${LOG_DIR}/smoke-trace.jsonl" --metrics_every=5 \
@@ -36,6 +37,21 @@ if [[ "${TRACE_LINES}" -ne 5 ]]; then
   echo "observability smoke: expected 5 trace records, got ${TRACE_LINES}" >&2
   exit 1
 fi
+python3 - "${LOG_DIR}/smoke-trace.jsonl" <<'PYEOF'
+import json, sys
+for line in open(sys.argv[1]):
+    record = json.loads(line)
+    batch = record["batch_id"]
+    top = sum(s["dur_us"] for s in record["spans"] if s["depth"] == 0)
+    if top != record["latency_us"]:
+        sys.exit(f"observability smoke: batch {batch}: depth-0 spans sum to "
+                 f"{top} us, latency_us is {record['latency_us']}")
+    missing = {"seal_barrier", "kway_merge"} - {s["name"] for s in record["spans"]}
+    if missing:
+        sys.exit(f"observability smoke: batch {batch} lacks {sorted(missing)}")
+PYEOF
+echo "observability smoke: depth-0 spans tile latency_us in every record," \
+  "seal_barrier and kway_merge present"
 
 # Accumulator parity smoke: a seeded 2-shard run must print the TOP-K table
 # recorded from the chain transcription of Alg. 1

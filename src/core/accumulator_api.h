@@ -26,15 +26,6 @@ struct SketchSettings {
   /// Hash buckets the untracked tail flows through (no per-key state; each
   /// bucket is one contiguous range of the sealed batch). Must be >= 1.
   uint32_t tail_buckets = 64;
-  /// Estimated count at which a sketch-tracked key is promoted to exact
-  /// accounting. 0 = auto: max(8, 4 * estimated_tuples / avg_keys).
-  uint64_t promote_threshold = 0;
-  /// Count-Min cross-check width (counters per row). 0 disables the CMS;
-  /// when enabled a promotion needs both sketches to clear the threshold,
-  /// vetoing Space-Saving's inherited-count over-estimates.
-  uint32_t cms_width = 0;
-  /// Count-Min rows (only read when cms_width > 0).
-  uint32_t cms_depth = 4;
 };
 
 /// \brief Tuning knobs of the buffering mechanism.

@@ -46,31 +46,15 @@ void SketchAccumulator::Begin(TimeMicros start, TimeMicros end) {
   } else {
     sketch_->Clear();
   }
-  if (options_.sketch.cms_width > 0) {
-    if (cms_ == nullptr || cms_->width() < options_.sketch.cms_width ||
-        cms_->depth() != options_.sketch.cms_depth) {
-      cms_ = std::make_unique<CountMin>(
-          options_.sketch.cms_width,
-          std::max<uint32_t>(1, options_.sketch.cms_depth));
-    } else {
-      cms_->Clear();
-    }
-  } else {
-    cms_.reset();
-  }
-
   const uint32_t buckets = std::max<uint32_t>(1, options_.sketch.tail_buckets);
   tail_buckets_.assign(buckets, TailBucket{});
 
-  // Auto promotion threshold: a key earns exact state once it looks several
+  // The promotion threshold: a key earns exact state once it looks several
   // times heavier than the average key. Clamped below so uniform streams
   // (N_est ~ K_avg) don't promote the entire key space.
-  promote_threshold_ =
-      options_.sketch.promote_threshold > 0
-          ? options_.sketch.promote_threshold
-          : std::max<uint64_t>(
-                8, 4 * options_.estimated_tuples /
-                       std::max<uint64_t>(1, options_.avg_keys));
+  promote_threshold_ = std::max<uint64_t>(
+      8, 4 * options_.estimated_tuples /
+             std::max<uint64_t>(1, options_.avg_keys));
 }
 
 void SketchAccumulator::Reset() {
@@ -86,13 +70,11 @@ void SketchAccumulator::Reset() {
   std::vector<Tuple>().swap(sealed_);
   sketch_ = std::make_unique<SpaceSaving>(
       std::max<uint32_t>(1, options_.sketch.capacity));
-  cms_.reset();
   hll_.Clear();
 }
 
 size_t SketchAccumulator::key_state_bytes() const {
-  return sketch_->capacity_bytes() +
-         (cms_ != nullptr ? cms_->capacity_bytes() : 0) + hll_.memory_bytes() +
+  return sketch_->capacity_bytes() + hll_.memory_bytes() +
          table_.capacity_bytes() + states_.capacity() * sizeof(KeyState) +
          tail_buckets_.capacity() * sizeof(TailBucket);
 }
@@ -138,13 +120,7 @@ void SketchAccumulator::OnTuple(const Tuple& t) {
   // Tail path: sketch first, then decide promotion.
   hll_.Add(t.key);
   sketch_->Add(t.key);
-  if (cms_ != nullptr) cms_->Add(t.key);
-  uint64_t estimate = sketch_->Estimate(t.key);
-  if (cms_ != nullptr) {
-    // Veto Space-Saving's inherited-count over-estimates: both independent
-    // sketches must agree the key is heavy.
-    estimate = std::min(estimate, cms_->Estimate(t.key));
-  }
+  const uint64_t estimate = sketch_->Estimate(t.key);
   if (estimate >= promote_threshold_ &&
       states_.size() < options_.sketch.capacity) {
     log_slot_.push_back(Promote(t.key, estimate, now));

@@ -16,7 +16,6 @@
 #include "common/macros.h"
 #include "core/accumulator_api.h"
 #include "core/key_budget.h"
-#include "stats/count_min.h"
 #include "stats/hyperloglog.h"
 #include "stats/space_saving.h"
 
@@ -28,12 +27,12 @@ namespace prompt {
 ///   head — the key already holds exact state (it was promoted): log the
 ///   tuple, bump the exact count, run the same budget rule as the flat
 ///   accumulator (core/key_budget.h);
-///   tail — feed the Space-Saving sketch (plus the optional Count-Min
-///   cross-check) and, if the key's estimate now clears the promotion
-///   threshold and a counter slot is free, promote it: it leaves the sketch
-///   and gets an exact record seeded with the sketch estimate as its rank
-///   base. Otherwise the tuple goes to tail bucket hash(key) % tail_buckets
-///   — a bare tuple count, no per-key bookkeeping.
+///   tail — feed the Space-Saving sketch and, if the key's estimate now
+///   clears the promotion threshold max(8, 4 * N_est / K_avg) (about four
+///   times the mean key frequency) and a counter slot is free, promote it:
+///   it leaves the sketch and gets an exact record seeded with the sketch
+///   estimate as its rank base. Otherwise the tuple goes to tail bucket
+///   hash(key) % tail_buckets — a bare tuple count, no per-key bookkeeping.
 /// Seal() lays out the promoted keys' runs, then the buckets in bucket
 /// order, and scatters the tuple log into them (ScatterBySlot).
 ///
@@ -75,10 +74,6 @@ class SketchAccumulator final : public Accumulator {
   /// barrier consume it instead of building a private copy.
   const SpaceSaving& sketch() const { return *sketch_; }
 
-  /// Effective promotion threshold for the current batch (after the auto
-  /// rule resolves promote_threshold == 0).
-  uint64_t promote_threshold() const { return promote_threshold_; }
-
   /// Folds another shard's sketch/HLL into this one (seal-barrier merge;
   /// hash-routed shards see disjoint keys).
   void MergeSketchFrom(const SketchAccumulator& other);
@@ -113,7 +108,6 @@ class SketchAccumulator final : public Accumulator {
 
   AccumulatorOptions options_;
   std::unique_ptr<SpaceSaving> sketch_;
-  std::unique_ptr<CountMin> cms_;  ///< null when cms_width == 0
   HyperLogLog hll_;
   FlatMap<uint32_t> table_;  ///< promoted key -> index into states_
   std::vector<KeyState> states_;
@@ -128,6 +122,7 @@ class SketchAccumulator final : public Accumulator {
   uint64_t num_tuples_ = 0;
   uint64_t head_tuples_ = 0;
   uint64_t tail_tuples_ = 0;
+  /// This batch's promotion threshold, fixed at Begin().
   uint64_t promote_threshold_ = 0;
   uint64_t ordering_updates_ = 0;
 };

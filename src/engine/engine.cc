@@ -75,6 +75,76 @@ void MergedBatchEstimates::Feed(const AccumulatedBatch& merged,
                             static_cast<uint64_t>(keys_.Value()));
 }
 
+BatchTrace TraceOf(const BatchReport& report, TimeMicros batch_start,
+                   double partition_cost_scale) {
+  BatchTrace trace;
+  trace.batch_id = report.batch_id;
+  trace.batch_start = batch_start;
+  trace.latency = report.latency;
+  trace.num_tuples = report.num_tuples;
+  trace.num_keys = report.num_keys;
+  auto span = [&trace](std::string name, TimeMicros start, TimeMicros duration,
+                       uint32_t depth) {
+    trace.spans.push_back(TraceSpan{std::move(name), start, duration, depth});
+  };
+  const TimeMicros interval = report.batch_interval;
+
+  // Depth-0 spans tile the end-to-end latency:
+  //   latency = interval + queue_delay + overflow + map + reduce (+ recovery).
+  span("accumulate", 0, interval, 0);
+  auto technique = [](int32_t type) -> std::string {
+    return type >= 0 ? PartitionerTypeName(static_cast<PartitionerType>(type))
+                     : "?";
+  };
+  if (report.technique_switched) {
+    // Annotation marking the first batch the switched-to technique sealed.
+    span("adapt_switch:" + technique(report.switched_from) + "->" +
+             technique(report.technique),
+         0, 0, 1);
+  }
+  if (report.has_ingest) {
+    // Wall-clock annotations from the sharded batching phase, nested under
+    // the accumulate interval (the barrier and merge run at the cut-off).
+    span("ingest_route", 0, report.ingest.ingest_wall, 1);
+    span("seal_barrier", interval, report.ingest.seal_barrier_latency, 1);
+    span("kway_merge", interval, report.ingest.merge_latency, 1);
+  }
+  if (report.sketch.sketch_mode) {
+    // Annotation marking a heavy-hitter batch with its coverage (promille,
+    // spans carry no float payload): sketch_mode:987 = 98.7% head coverage.
+    span("sketch_mode:" + std::to_string(static_cast<int>(
+                              report.sketch.head_coverage() * 1000.0)),
+         0, 0, 1);
+  }
+  if (report.store_append_us > 0) {
+    // Durable-log append of the sealed batch, right at the cut-off (wall
+    // clock, annotation depth: the virtual timeline is unaffected).
+    span("store_append", interval, report.store_append_us, 1);
+  }
+  // The B-BPFI plan runs inside the early-release slack; only its overflow
+  // reaches the critical path (as the "plan_overflow" span below).
+  const TimeMicros scaled_cost = static_cast<TimeMicros>(
+      partition_cost_scale * static_cast<double>(report.partition_cost));
+  const TimeMicros in_slack = scaled_cost - report.partition_overflow;
+  if (in_slack > 0) span("plan", interval - in_slack, in_slack, 1);
+
+  TimeMicros cursor = interval;
+  auto stage = [&](const char* name, TimeMicros duration) {
+    span(name, cursor, duration, 0);
+    cursor += duration;
+  };
+  if (report.queue_delay > 0) stage("queue", report.queue_delay);
+  if (report.partition_overflow > 0) {
+    stage("plan_overflow", report.partition_overflow);
+  }
+  stage("map", report.map_makespan);
+  stage("reduce", report.reduce_makespan);
+  // Recovery work (replays, re-replication) done while this batch held the
+  // pipeline — modeled as running after the ordinary stages.
+  if (report.recovery_time > 0) stage("recovery", report.recovery_time);
+  return trace;
+}
+
 namespace {
 
 /// The single-query entry point's setup: one KEYS-all, unlabeled tenant. An
@@ -772,12 +842,10 @@ void MicroBatchEngine::Persist(uint32_t owner, const QueryContext& ctx,
 }
 
 void MicroBatchEngine::Observe(const Tenant& tenant, const BatchReport& report,
-                               TimeMicros interval, TimeMicros batch_start) {
+                               TimeMicros batch_start) {
   BatchTrace trace;
   if (obs_->tracing_active()) {
-    RecordBatchTrace(report, interval, batch_start);
-    trace = obs_->recorder()->EndBatch(report.num_tuples, report.num_keys,
-                                       report.latency);
+    trace = TraceOf(report, batch_start, options_.cost.partition_cost_scale);
     trace.labels = tenant.stream->labels;
   }
   obs_->OnBatchComplete(report, trace, tenant.stream);
@@ -827,12 +895,16 @@ std::vector<RunSummary> MicroBatchEngine::RunTenants(uint32_t num_batches) {
       const auto owner = static_cast<uint32_t>(t);
 
       PartitionedBatch batch = Seal(tenant, merged);
+      // The batching phase's per-shard stats, as this tenant's report will
+      // carry them.
+      IngestMetrics ingest_metrics;
+      if (ingest_ != nullptr) ingest_metrics = ingest_->last_metrics();
       // The batch's wall-clock inputs, settled after the merge-latency add
       // so the recorded partition_cost is the final value a replay must
       // reproduce; under --replay the recorded inputs are injected here.
       const BatchEnv batch_env = SettleBatchEnv(
           options_.journal.inject, owner, &batch,
-          ingest_ != nullptr ? &ingest_->last_metrics() : nullptr);
+          ingest_ != nullptr ? &ingest_metrics : nullptr);
       if (journal_ != nullptr) {
         WarnIfFailed(journal_->AppendEnv(owner, batch_env),
                      "journal: env append");
@@ -863,11 +935,10 @@ std::vector<RunSummary> MicroBatchEngine::RunTenants(uint32_t num_batches) {
       ctx.pipeline_free_at = proc_start + report.processing_time;
       report.latency = ctx.pipeline_free_at - start;
       if (ingest_ != nullptr) {
-        // Fold the batching phase's per-shard stats into the report; this
-        // embedded form is the only way callers see per-shard ingest state.
-        report.ingest = ingest_->last_metrics();
+        // This embedded form is the only way callers see per-shard ingest
+        // state.
+        report.ingest = std::move(ingest_metrics);
         report.has_ingest = true;
-        InjectIngestEnv(options_.journal.inject, owner, batch_env, &report);
       }
 
       // Fault-tolerance aggregates.
@@ -913,21 +984,19 @@ std::vector<RunSummary> MicroBatchEngine::RunTenants(uint32_t num_batches) {
         // before it loses only the current batches' (torn) appends.
         WarnIfFailed(durable_->Sync(), "durable sync");
       }
-      if (observe) Observe(tenant, report, interval, start);
+      // The published batch's verdict, explained once, a pure function of
+      // the report: the autopsy row, the adapt controller, the journal
+      // outcome and the run summary all read it from the report.
+      report.autopsy = ExplainBatch(report, options_.obs.autopsy);
+      if (observe) Observe(tenant, report, start);
 
-      // The published batch's verdict: ExplainBatch is a pure function of
-      // the report, so computing it here costs nothing in determinism.
-      BatchAutopsy autopsy;
-      if (ctx.adapt != nullptr || journal_ != nullptr) {
-        autopsy = ExplainBatch(report, options_.obs.autopsy);
-      }
       // Telemetry → partitioning feedback (src/adapt/): the controller sees
       // this batch's report and verdict; an approved switch is applied here
       // — after Seal of this batch, before Begin of the next — so no
       // in-flight batch ever mixes techniques.
       if (ctx.adapt != nullptr) {
         const AdaptiveDecision decision =
-            ctx.adapt->OnBatchCompleted(report, autopsy);
+            ctx.adapt->OnBatchCompleted(report, report.autopsy);
         if (decision.switch_now) {
           ctx.ApplyTechniqueSwitch(decision);
           summary.technique_switches.push_back(RunSummary::TechniqueSwitch{
@@ -951,7 +1020,7 @@ std::vector<RunSummary> MicroBatchEngine::RunTenants(uint32_t num_batches) {
       if (journal_ != nullptr) {
         // The published batch's fingerprint: signals, verdict, output hash.
         WarnIfFailed(
-            journal_->AppendOutcome(owner, OutcomeFrom(report, autopsy)),
+            journal_->AppendOutcome(owner, OutcomeFrom(report, report.autopsy)),
             "journal: outcome append");
       }
       summary.batches.push_back(std::move(report));
@@ -982,78 +1051,6 @@ std::vector<RunSummary> MicroBatchEngine::RunTenants(uint32_t num_batches) {
   if (crashed_) mark_crashed();
   if (observe) obs_->OnRunEnd();
   return summaries;
-}
-
-void MicroBatchEngine::RecordBatchTrace(const BatchReport& report,
-                                        TimeMicros interval,
-                                        TimeMicros batch_start) {
-  TraceRecorder* rec = obs_->recorder();
-  rec->BeginBatch(report.batch_id, batch_start);
-
-  // Depth-0 spans tile the end-to-end latency:
-  //   latency = interval + queue_delay + overflow + map + reduce (+ recovery).
-  rec->AddSpan("accumulate", 0, interval, 0);
-  if (report.technique_switched) {
-    // Annotation marking the first batch the switched-to technique sealed.
-    std::string note = "adapt_switch:";
-    note += report.switched_from >= 0
-                ? PartitionerTypeName(
-                      static_cast<PartitionerType>(report.switched_from))
-                : "?";
-    note += "->";
-    note += report.technique >= 0
-                ? PartitionerTypeName(
-                      static_cast<PartitionerType>(report.technique))
-                : "?";
-    rec->AddSpan(note, 0, 0, 1);
-  }
-  if (report.has_ingest) {
-    // Wall-clock annotations from the sharded batching phase, nested under
-    // the accumulate interval (the barrier and merge run at the cut-off).
-    rec->AddSpan("ingest_route", 0, report.ingest.ingest_wall, 1);
-    rec->AddSpan("seal_barrier", interval, report.ingest.seal_barrier_latency,
-                 1);
-    rec->AddSpan("kway_merge", interval, report.ingest.merge_latency, 1);
-  }
-  if (report.sketch.sketch_mode) {
-    // Annotation marking a heavy-hitter batch with its coverage (promille,
-    // spans carry no float payload): sketch_mode:987 = 98.7% head coverage.
-    std::string note = "sketch_mode:";
-    note += std::to_string(
-        static_cast<int>(report.sketch.head_coverage() * 1000.0));
-    rec->AddSpan(note, 0, 0, 1);
-  }
-  if (report.store_append_us > 0) {
-    // Durable-log append of the sealed batch, right at the cut-off (wall
-    // clock, annotation depth: the virtual timeline is unaffected).
-    rec->AddSpan("store_append", interval, report.store_append_us, 1);
-  }
-  // The B-BPFI plan runs inside the early-release slack; only its overflow
-  // reaches the critical path (as the "plan_overflow" span below).
-  const TimeMicros scaled_cost = static_cast<TimeMicros>(
-      options_.cost.partition_cost_scale *
-      static_cast<double>(report.partition_cost));
-  const TimeMicros in_slack = scaled_cost - report.partition_overflow;
-  if (in_slack > 0) rec->AddSpan("plan", interval - in_slack, in_slack, 1);
-
-  TimeMicros cursor = interval;
-  if (report.queue_delay > 0) {
-    rec->AddSpan("queue", cursor, report.queue_delay, 0);
-    cursor += report.queue_delay;
-  }
-  if (report.partition_overflow > 0) {
-    rec->AddSpan("plan_overflow", cursor, report.partition_overflow, 0);
-    cursor += report.partition_overflow;
-  }
-  rec->AddSpan("map", cursor, report.map_makespan, 0);
-  cursor += report.map_makespan;
-  rec->AddSpan("reduce", cursor, report.reduce_makespan, 0);
-  cursor += report.reduce_makespan;
-  // Recovery work (replays, re-replication) done while this batch held the
-  // pipeline — modeled as running after the ordinary stages.
-  if (report.recovery_time > 0) {
-    rec->AddSpan("recovery", cursor, report.recovery_time, 0);
-  }
 }
 
 Status MicroBatchEngine::VerifyRecoveryOfLastBatch() {

@@ -186,6 +186,16 @@ PartitionedBatch SealMerged(BatchPartitioner* partitioner,
                             const AccumulatedBatch& merged,
                             const KeyFilter& filter, uint64_t batch_id);
 
+/// \brief A published report's trace: depth-0 spans tile report.latency
+/// (accumulate, then queue, plan_overflow, map, reduce and recovery as they
+/// apply) and depth-1 spans annotate the interval (adapt_switch, the
+/// sharded-ingest route, seal barrier and merge, sketch_mode, store_append,
+/// and the plan inside the release slack). `batch_start` is the interval's
+/// start on the engine clock; `partition_cost_scale` the cost model's
+/// (EngineOptions::cost). Labels are the caller's to set.
+BatchTrace TraceOf(const BatchReport& report, TimeMicros batch_start,
+                   double partition_cost_scale);
+
 /// \brief The Alg. 1 estimate feed of a sharded ingest pipeline (the batch
 /// loop's and StreamReceiver's): EWMAs (alpha = 0.4) of each merged batch's
 /// tuples and keys. In sketch mode num_keys() counts only promoted head
@@ -325,7 +335,7 @@ class MicroBatchEngine {
 
   const EngineOptions& options() const { return options_; }
 
-  /// The engine's observability stack (registry, trace recorder, sinks).
+  /// The engine's observability stack (registry, time series, sinks).
   /// Configure through EngineOptions::obs; attach extra sinks/observers
   /// before the first Run.
   Observability* observability() { return obs_.get(); }
@@ -362,12 +372,10 @@ class MicroBatchEngine {
                const PartitionedBatch& batch);
   BatchReport ProcessBatch(Tenant& tenant, PartitionedBatch batch,
                            TimeMicros interval, uint32_t share);
-  /// Publishes a report (and its trace) on the tenant's stream.
+  /// Publishes a report on the tenant's stream, with its trace when
+  /// something consumes traces.
   void Observe(const Tenant& tenant, const BatchReport& report,
-               TimeMicros interval, TimeMicros batch_start);
-  /// Lays the batch's timeline spans into the trace recorder (tracing only).
-  void RecordBatchTrace(const BatchReport& report, TimeMicros interval,
-                        TimeMicros batch_start);
+               TimeMicros batch_start);
   /// The cores a tenant's stages run on: its scheduler share of the pool,
   /// which in cluster mode is the cores alive now.
   uint32_t CoresFor(uint32_t share) const;

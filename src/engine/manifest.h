@@ -242,6 +242,10 @@ void IngestFields(ManifestVisitor& v, Ingest& i) {
   v("ingest.shards", i.shards, AtLeast(1));
   v("ingest.ring_capacity", i.ring_capacity, AtLeast(2));
   v.Const("ingest.accumulator", "flat");
+  // Alg. 1's update budget, written only off its default.
+  if (v.Optional(i.accumulator_options.budget != AccumulatorOptions{}.budget)) {
+    v("ingest.budget", i.accumulator_options.budget);
+  }
   v("ingest.key_mode", i.key_mode);
   if (v.Optional(i.key_mode == KeyMode::kSketch)) {
     auto& sketch = i.accumulator_options.sketch;

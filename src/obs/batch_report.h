@@ -1,8 +1,13 @@
-// Per-batch observability record. Lives in src/obs/ (not the engine) so
-// every consumer — report_io, sinks, bench figure writers, external
-// Observers — shares one definition without pulling in the engine.
+// The one per-batch record. Every per-batch product — the report row, the
+// trace (TraceOf, engine/engine.h), the time-series point, the autopsy row
+// and the journal's outcome fingerprint — is a projection of a BatchReport.
+// Lives in src/obs/ (not the engine) so every consumer — report_io, sinks,
+// bench figure writers, external Observers — shares one definition without
+// pulling in the engine.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/clock.h"
@@ -10,6 +15,48 @@
 #include "stats/metrics.h"
 
 namespace prompt {
+
+/// \brief Causes a batch's excess latency can be attributed to (the skew
+/// autopsy, obs/autopsy.h). Order is the tie-break: on equal excess the
+/// earlier cause wins (deterministic).
+enum class BatchCause : size_t {
+  kNone = 0,            ///< every excess source below the noise floor
+  kQueueing,            ///< waited behind earlier batches (W > 1 upstream)
+  kRecovery,            ///< replays / re-replication after a failure
+  kSplitKeyOverflow,    ///< B-BPFI plan ran past the release slack
+  kStragglerCore,       ///< one Map block dominated the stage makespan
+  kBucketSkew,          ///< uneven reduce buckets spread completion times
+  kIngestBackpressure,  ///< an ingest ring ran near capacity at the cut-off
+  kSketchSaturated,     ///< sketch-mode head coverage collapsed: unsplittable
+                        ///< tail buckets drove the Map imbalance
+  kCauseCount
+};
+
+inline constexpr size_t kBatchCauses =
+    static_cast<size_t>(BatchCause::kCauseCount);
+
+/// \brief One batch's explained verdict.
+struct BatchAutopsy {
+  uint64_t batch_id = 0;
+  BatchCause dominant = BatchCause::kNone;
+  /// Excess microseconds attributed to each cause (kNone stays 0).
+  std::array<TimeMicros, kBatchCauses> excess{};
+  /// Sum of all per-cause excess.
+  TimeMicros total_excess = 0;
+  /// Noise floor the dominant cause had to clear.
+  TimeMicros threshold = 0;
+
+  // Context the rules fired on (for the human-readable table).
+  double block_load_ratio = 1.0;
+  double split_key_frac = 0;
+  double ring_occupancy = 0;
+  /// 1.0 outside sketch mode (exact tracking covers everything).
+  double head_coverage = 1.0;
+
+  TimeMicros excess_of(BatchCause cause) const {
+    return excess[static_cast<size_t>(cause)];
+  }
+};
 
 /// \brief Everything the engine reports about one processed micro-batch.
 struct BatchReport {
@@ -97,6 +144,12 @@ struct BatchReport {
   /// Computed only while the flight recorder (src/replay/) is journaling —
   /// equal hashes on every batch imply bit-identical window aggregates.
   uint64_t output_hash = 0;
+
+  /// The published batch's verdict, explained once by the batch loop from
+  /// the fields above (ExplainBatch, obs/autopsy.h); every consumer — the
+  /// adapt controller, the autopsy row, the journal outcome, the run
+  /// summaries and `promptctl --explain` — reads it from here.
+  BatchAutopsy autopsy;
 };
 
 }  // namespace prompt

@@ -17,8 +17,6 @@ TimeSeriesOptions TimeSeriesOf(const ObservabilityOptions& options) {
 Observability::Observability(ObservabilityOptions options)
     : options_(std::move(options)) {
   if (options_.metrics_every > 0) options_.metrics_enabled = true;
-  if (!options_.trace_path.empty()) options_.trace_enabled = true;
-  if (!options_.autopsy_path.empty()) options_.autopsy_enabled = true;
   if (options_.serve_port >= 0) {
     // A live server without sources would serve nothing but /healthz.
     options_.metrics_enabled = true;
@@ -137,11 +135,6 @@ void Observability::OnRunStart(uint32_t num_batches) {
 }
 
 void Observability::OnBatchComplete(const BatchReport& report,
-                                    const BatchTrace& trace) {
-  OnBatchComplete(report, trace, AddStream({}));
-}
-
-void Observability::OnBatchComplete(const BatchReport& report,
                                     const BatchTrace& trace, Stream* stream) {
   if (registry_ != nullptr) {
     Stream& s = *stream;
@@ -211,13 +204,10 @@ void Observability::OnBatchComplete(const BatchReport& report,
   }
 
   if (stream->timeseries != nullptr) stream->timeseries->Observe(report);
-  if (options_.autopsy_enabled) {
-    last_autopsy_ = ExplainBatch(report, options_.autopsy);
-    if (autopsy_file_ != nullptr) {
-      Record row = AutopsyRecord(last_autopsy_);
-      for (const auto& [key, value] : stream->labels) row.Set(key, value);
-      autopsy_file_->Write(row);
-    }
+  if (autopsy_file_ != nullptr) {
+    Record row = AutopsyRecord(report.autopsy);
+    for (const auto& [key, value] : stream->labels) row.Set(key, value);
+    autopsy_file_->Write(row);
   }
 
   if (!report_sinks_.empty()) {

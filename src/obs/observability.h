@@ -1,8 +1,9 @@
-// Observability composite: one object owning the MetricsRegistry, the
-// TraceRecorder and every configured sink, implementing the Observer
-// interface the engine drives. EngineOptions::obs configures it; components
-// (ingest pipeline, executor, elastic controller) receive the registry via
-// BindMetrics and record through cached handles.
+// Observability composite: one object owning the MetricsRegistry, the time
+// series and every configured sink, which the engine hands each published
+// report (with its trace when a trace sink or an external Observer consumes
+// one). EngineOptions::obs configures it; components (ingest pipeline,
+// executor, elastic controller) receive the registry via BindMetrics and
+// record through cached handles.
 #pragma once
 
 #include <iostream>
@@ -37,10 +38,9 @@ struct ObservabilityOptions {
   /// on stdout.
   std::string metrics_path;
 
-  /// Build one structured BatchTrace per batch. Implied by trace_path or by
-  /// any attached trace sink / external Observer.
-  bool trace_enabled = false;
-  /// JSONL trace destination (one record per batch); "" = no file.
+  /// JSONL trace destination (one record per batch); "" = no file. Traces
+  /// are built only for a trace sink (this file or an attached one) or an
+  /// external Observer.
   std::string trace_path;
 
   /// Retain a ring of per-batch signal points this many batches deep
@@ -51,11 +51,11 @@ struct ObservabilityOptions {
   /// EWMA weight of the newest batch.
   double timeseries_alpha = 0.2;
 
-  /// Run the per-batch skew autopsy (deterministic cause attribution).
-  /// Implied by autopsy_path.
-  bool autopsy_enabled = false;
-  /// JSONL destination for `record=autopsy` rows; "" = no file.
+  /// JSONL destination for `record=autopsy` rows, one per published
+  /// report; "" = no rows.
   std::string autopsy_path;
+  /// Thresholds of the verdict the batch loop explains for every published
+  /// batch (BatchReport::autopsy).
   AutopsyOptions autopsy;
 
   /// Serve /metrics, /timeseries.json and /healthz on 127.0.0.1:port
@@ -64,38 +64,34 @@ struct ObservabilityOptions {
   int serve_port = -1;
 };
 
-/// \brief Standard Observer implementation: registry + recorder + sinks.
-class Observability final : public Observer {
+/// \brief The engine's observability stack: registry, time series, sinks
+/// and external observers.
+class Observability final {
  public:
   explicit Observability(ObservabilityOptions options);
-  ~Observability() override;
+  ~Observability();
   PROMPT_DISALLOW_COPY_AND_ASSIGN(Observability);
 
   /// Result of opening the sinks configured through paths in the options
   /// (OK when none were configured).
   const Status& init_status() const { return init_status_; }
 
-  /// Any instrumentation consumer attached? The engine skips report/trace
-  /// assembly entirely when false — the disabled path costs one branch.
+  /// Any instrumentation consumer attached? The engine skips publishing
+  /// entirely when false — the disabled path costs one branch.
   bool active() const {
     return metrics_enabled() || tracing_active() || !report_sinks_.empty() ||
-           timeseries() != nullptr || autopsy_enabled();
+           timeseries() != nullptr || autopsy_file_ != nullptr;
   }
   bool metrics_enabled() const { return registry_ != nullptr; }
+  /// Does anything consume traces? The engine builds them only then.
   bool tracing_active() const {
-    return options_.trace_enabled || !trace_sinks_.empty() ||
-           !observers_.empty();
+    return !trace_sinks_.empty() || !observers_.empty();
   }
-  bool autopsy_enabled() const { return options_.autopsy_enabled; }
 
   /// Registry for component instrumentation; nullptr when metrics are
   /// disabled (callers skip on nullptr — the zero-cost contract).
   MetricsRegistry* registry() { return registry_.get(); }
   const MetricsRegistry* registry() const { return registry_.get(); }
-
-  /// Recorder the engine lays batch timelines into (always valid; unused
-  /// when tracing is inactive).
-  TraceRecorder* recorder() { return &recorder_; }
 
   /// Per-batch time series; nullptr when timeseries_capacity is 0 and no
   /// server was requested.
@@ -108,10 +104,6 @@ class Observability final : public Observer {
   /// constructor — a bind failure lands in init_status().
   HttpExporter* exporter() { return exporter_.get(); }
   const HttpExporter* exporter() const { return exporter_.get(); }
-
-  /// The most recent batch's autopsy (kNone batch 0 before any batch ran).
-  /// Only maintained while autopsy_enabled().
-  const BatchAutopsy& last_autopsy() const { return last_autopsy_; }
 
   /// \brief One query's report stream: the metric series its reports
   /// update, the time series they feed and the columns their autopsy rows
@@ -153,9 +145,8 @@ class Observability final : public Observer {
     HistogramMetric* recovery_us = nullptr;
   };
   /// The stream for reports labeled `labels`. Empty labels give the
-  /// unlabeled stream, the one the Observer interface feeds: the registry's
-  /// plain series (registered on its first request) and the default time
-  /// series. Labeled streams (a tenant's
+  /// unlabeled stream: the registry's plain series (registered on its first
+  /// request) and the default time series. Labeled streams (a tenant's
   /// {{"tenant", id}}) update the same series under their labels plus
   /// `prompt_tenant_slots`, feed a time series of their own (served at
   /// `/timeseries.json?tenant=<the first label's value>`) and tag their
@@ -174,19 +165,17 @@ class Observability final : public Observer {
   /// destination (no-op when metrics are disabled).
   void EmitMetricsSnapshot(uint64_t after_batch);
 
-  // Observer interface. OnBatchComplete(report, trace) publishes on the
-  // unlabeled stream.
-  void OnRunStart(uint32_t num_batches) override;
-  void OnBatchComplete(const BatchReport& report,
-                       const BatchTrace& trace) override;
-  void OnRunEnd() override;
-
+  /// A run of `num_batches` heartbeats starts (told to every observer).
+  void OnRunStart(uint32_t num_batches);
   /// Publishes one report of `stream`: its series, its time series, its
-  /// autopsy row, then every sink and observer. A heartbeat's reports come
-  /// stream by stream in the order the streams were added; the
+  /// autopsy row (report.autopsy), then every sink and observer. `trace` is
+  /// the report's trace when tracing_active(), else empty. A heartbeat's
+  /// reports come stream by stream in the order the streams were added; the
   /// `metrics_every` snapshot follows the last stream's report.
   void OnBatchComplete(const BatchReport& report, const BatchTrace& trace,
                        Stream* stream);
+  /// The run ends: observers are told and every sink is flushed.
+  void OnRunEnd();
 
  private:
   /// Registers `stream`'s eager series under its labels (no-op without a
@@ -197,7 +186,6 @@ class Observability final : public Observer {
   Status init_status_;
 
   std::unique_ptr<MetricsRegistry> registry_;
-  TraceRecorder recorder_;
   std::vector<std::unique_ptr<TraceSink>> trace_sinks_;
   std::vector<std::unique_ptr<RecordSink>> report_sinks_;
   std::vector<Observer*> observers_;
@@ -207,7 +195,6 @@ class Observability final : public Observer {
   // Autopsy destination (JSONL file) when autopsy_path is set.
   std::unique_ptr<FileRecordSink> autopsy_file_;
 
-  BatchAutopsy last_autopsy_;
   /// streams_[0] is the unlabeled stream; labeled ones follow in the order
   /// they were added.
   std::vector<std::unique_ptr<Stream>> streams_;

@@ -1,9 +1,8 @@
-// The single instrumentation interface of the engine. Everything the engine
-// measures — per-batch reports, structured traces, run lifecycle — flows
-// through Observer callbacks; the Observability composite (observability.h)
-// is the standard implementation that fans out to a MetricsRegistry and
-// pluggable sinks, and user code can attach its own Observer for custom
-// collection (tests, dashboards, experiment harnesses).
+// The interface for external observers of a run: user code attaches one
+// (MicroBatchEngine::AddObserver) for custom collection — tests, dashboards,
+// experiment harnesses — and the Observability composite (observability.h)
+// calls it after its own registry, time series and sinks, with each
+// published report and its trace.
 #pragma once
 
 #include <cstdint>

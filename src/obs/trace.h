@@ -2,7 +2,9 @@
 // BatchTrace: a flat span list over the batch's timeline (accumulate →
 // seal barrier → k-way merge → B-BPFI plan → queue → map → reduce), where
 // depth-0 spans tile the end-to-end latency and deeper spans annotate what
-// happened inside them. Traces are exported one JSONL record per batch
+// happened inside them. A trace is a pure projection of the batch's report
+// (TraceOf, engine/engine.h), built only when a trace sink or an observer
+// consumes it. Traces are exported one JSONL record per batch
 // (src/obs/sink.h) and are the before/after evidence for every perf PR.
 #pragma once
 
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/macros.h"
 
 namespace prompt {
 
@@ -67,112 +68,6 @@ struct BatchTrace {
     }
     return nullptr;
   }
-};
-
-/// \brief Builds one BatchTrace per batch.
-///
-/// Two ways to record spans, freely mixed within a batch:
-///  - AddSpan(): explicit placement, used by the engine to lay the virtual
-///    batch timeline (interval, queueing, makespans) after the fact;
-///  - StartSpan(): RAII wall-clock scopes for code whose cost is real time
-///    (ingest seal/merge). Nesting of live scopes sets the span depth.
-///
-/// Not thread-safe; one recorder belongs to one driver thread (the engine
-/// loop). Cross-thread measurements enter as already-measured durations via
-/// AddSpan.
-class TraceRecorder {
- public:
-  TraceRecorder() = default;
-  PROMPT_DISALLOW_COPY_AND_ASSIGN(TraceRecorder);
-
-  /// Opens the trace of a new batch; any previous batch must be ended.
-  void BeginBatch(uint64_t batch_id, TimeMicros batch_start) {
-    PROMPT_CHECK(!open_);
-    open_ = true;
-    current_ = BatchTrace{};
-    current_.batch_id = batch_id;
-    current_.batch_start = batch_start;
-    open_scopes_ = 0;
-    wall_.Restart();
-  }
-
-  bool open() const { return open_; }
-
-  /// Records a span at an explicit position on the batch timeline.
-  void AddSpan(std::string_view name, TimeMicros start, TimeMicros duration,
-               uint32_t depth = 0) {
-    PROMPT_CHECK(open_);
-    current_.spans.push_back(
-        TraceSpan{std::string(name), start, duration, depth});
-  }
-
-  /// \brief RAII wall-clock span; closes (records duration) on destruction.
-  class Scope {
-   public:
-    Scope(Scope&& other) noexcept
-        : recorder_(other.recorder_), index_(other.index_) {
-      other.recorder_ = nullptr;
-    }
-    Scope& operator=(Scope&&) = delete;
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-    ~Scope() { End(); }
-
-    /// Closes the span early (idempotent).
-    void End() {
-      if (recorder_ != nullptr) {
-        recorder_->EndScope(index_);
-        recorder_ = nullptr;
-      }
-    }
-
-   private:
-    friend class TraceRecorder;
-    Scope(TraceRecorder* recorder, size_t index)
-        : recorder_(recorder), index_(index) {}
-
-    TraceRecorder* recorder_;
-    size_t index_;
-  };
-
-  /// Opens a wall-clock span; depth = number of currently open scopes.
-  Scope StartSpan(std::string_view name) {
-    PROMPT_CHECK(open_);
-    const size_t index = current_.spans.size();
-    current_.spans.push_back(TraceSpan{std::string(name),
-                                       wall_.ElapsedMicros(), 0, open_scopes_});
-    ++open_scopes_;
-    return Scope(this, index);
-  }
-
-  /// Closes the batch, filling totals, and returns the finished trace. The
-  /// reference stays valid until the next BeginBatch.
-  const BatchTrace& EndBatch(uint64_t num_tuples, uint64_t num_keys,
-                             TimeMicros latency) {
-    PROMPT_CHECK(open_);
-    PROMPT_CHECK_MSG(open_scopes_ == 0, "EndBatch with open trace scopes");
-    current_.num_tuples = num_tuples;
-    current_.num_keys = num_keys;
-    current_.latency = latency;
-    open_ = false;
-    return current_;
-  }
-
-  /// The trace under construction (open) or most recently ended.
-  const BatchTrace& current() const { return current_; }
-
- private:
-  void EndScope(size_t index) {
-    PROMPT_CHECK(open_scopes_ > 0);
-    --open_scopes_;
-    TraceSpan& span = current_.spans[index];
-    span.duration = wall_.ElapsedMicros() - span.start;
-  }
-
-  BatchTrace current_;
-  Stopwatch wall_;
-  uint32_t open_scopes_ = 0;
-  bool open_ = false;
 };
 
 }  // namespace prompt

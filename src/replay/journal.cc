@@ -419,7 +419,7 @@ BatchOutcome OutcomeFrom(const BatchReport& report,
 
 BatchEnv SettleBatchEnv(const std::shared_ptr<const ReplayEnv>& inject,
                         uint32_t owner, PartitionedBatch* batch,
-                        const IngestMetrics* metrics) {
+                        IngestMetrics* metrics) {
   BatchEnv env;
   env.batch_id = batch->batch_id;
   const BatchEnv* recorded = nullptr;
@@ -439,6 +439,13 @@ BatchEnv SettleBatchEnv(const std::shared_ptr<const ReplayEnv>& inject,
       env.merge_latency = recorded->merge_latency;
       env.ring_high_water = recorded->ring_high_water;
       env.ring_capacity = recorded->ring_capacity;
+      // The thread-timing-dependent ingest numbers the report carries.
+      metrics->seal_barrier_latency = env.seal_barrier_latency;
+      metrics->merge_latency = env.merge_latency;
+      for (ShardIngestStats& s : metrics->shards) s.ring_high_water = 0;
+      if (metrics->shards.empty()) metrics->shards.resize(1);
+      metrics->shards[0].ring_high_water = env.ring_high_water;
+      metrics->shards[0].ring_capacity = env.ring_capacity;
     } else {
       env.seal_barrier_latency = metrics->seal_barrier_latency;
       env.merge_latency = metrics->merge_latency;
@@ -458,23 +465,6 @@ BatchEnv SettleBatchEnv(const std::shared_ptr<const ReplayEnv>& inject,
     }
   }
   return env;
-}
-
-void InjectIngestEnv(const std::shared_ptr<const ReplayEnv>& inject,
-                     uint32_t owner, const BatchEnv& env,
-                     BatchReport* report) {
-  if (inject == nullptr || !report->has_ingest) return;
-  if (inject->find({owner, report->batch_id}) == inject->end()) return;
-  // Replace the thread-timing-dependent ingest numbers with the recorded
-  // ones. Per-shard ring samples collapse onto shard 0 — the max (the only
-  // thing the backpressure signal and the verdict read) is preserved
-  // exactly.
-  report->ingest.seal_barrier_latency = env.seal_barrier_latency;
-  report->ingest.merge_latency = env.merge_latency;
-  for (ShardIngestStats& s : report->ingest.shards) s.ring_high_water = 0;
-  if (report->ingest.shards.empty()) report->ingest.shards.resize(1);
-  report->ingest.shards[0].ring_high_water = env.ring_high_water;
-  report->ingest.shards[0].ring_capacity = env.ring_capacity;
 }
 
 uint64_t HashBatchOutput(const std::vector<KV>& output) {

@@ -74,22 +74,20 @@ struct BatchEnv {
 /// engine injects in place of its own wall-clock measurements.
 using ReplayEnv = std::map<std::pair<uint32_t, uint64_t>, BatchEnv>;
 
-/// \brief Settles a just-sealed batch's wall-clock inputs: under replay
-/// (`inject` holds this owner+batch) the recorded partition cost overwrites
-/// the measured one and the recorded ingest numbers are returned; otherwise
-/// the measured values (worst shard's occupancy sample from `metrics`, null
-/// when ingest is unsharded) are captured for the journal. The batch loop
-/// calls this right after Seal, so record→replay→re-replay chains exactly.
+/// \brief Settles a just-sealed batch's wall-clock inputs and returns them.
+/// `metrics` is the ingest metrics copy the batch's report will carry (null
+/// when ingest is unsharded). Under replay (`inject` holds this
+/// owner+batch) the recorded values overwrite the measured ones: the
+/// partition cost in `batch`, and in `metrics` the seal-barrier and merge
+/// latencies, with the per-shard ring samples collapsed onto shard 0 as the
+/// recorded pair (the occupancy max, the only thing the backpressure signal
+/// and the verdict read, is kept bit for bit). Otherwise the measured values
+/// (the worst shard's occupancy sample) are captured for the journal. The
+/// batch loop calls this right after Seal, so record→replay→re-replay
+/// chains exactly.
 BatchEnv SettleBatchEnv(const std::shared_ptr<const ReplayEnv>& inject,
                         uint32_t owner, PartitionedBatch* batch,
-                        const IngestMetrics* metrics);
-
-/// \brief Replay-side counterpart over the published report: overwrites the
-/// measured seal-barrier/merge latencies and collapses the per-shard ring
-/// samples onto shard 0 with the recorded pair, preserving the occupancy
-/// max bit-for-bit. No-op unless `inject` holds this owner+batch.
-void InjectIngestEnv(const std::shared_ptr<const ReplayEnv>& inject,
-                     uint32_t owner, const BatchEnv& env, BatchReport* report);
+                        IngestMetrics* metrics);
 
 /// \brief Journal configuration (EngineOptions::journal).
 struct JournalOptions {

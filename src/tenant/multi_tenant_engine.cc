@@ -141,8 +141,7 @@ MultiTenantRunSummary MultiTenantEngine::Run(uint32_t num_batches) {
     result.causes.reserve(summaries[t].batches.size());
     for (const BatchReport& report : summaries[t].batches) {
       result.slots_granted += report.slots;
-      const BatchCause cause =
-          ExplainBatch(report, options_.obs.autopsy).dominant;
+      const BatchCause cause = report.autopsy.dominant;
       result.causes.push_back(cause);
       ++result.cause_counts[static_cast<size_t>(cause)];
     }

@@ -28,7 +28,7 @@
 
 #include "common/result.h"
 #include "engine/engine.h"
-#include "obs/autopsy.h"
+#include "obs/batch_report.h"
 #include "query/multi_query.h"
 #include "replay/journal.h"
 #include "workload/source.h"

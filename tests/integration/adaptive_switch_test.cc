@@ -38,7 +38,6 @@ EngineOptions AdaptiveRunOptions() {
   EngineOptions opts;
   opts.batch_interval = kInterval;
   opts.obs.collect_partition_metrics = true;
-  opts.obs.autopsy_enabled = true;
   // Floor the autopsy above hash-bucket noise on uniform data but well below
   // the shifted phase's hot-bucket excess.
   opts.obs.autopsy.min_excess_frac = 0.08;

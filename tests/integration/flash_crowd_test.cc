@@ -25,7 +25,6 @@ EngineOptions FlashCrowdOptions() {
   EngineOptions opts;
   opts.batch_interval = kInterval;
   opts.obs.collect_partition_metrics = true;
-  opts.obs.autopsy_enabled = true;
   opts.obs.autopsy.min_excess_frac = 0.08;
   // Reduce-heavy cost model: viral-key concentration lands on reduce
   // buckets, which is the kBucketSkew signature the controller reacts to.
@@ -49,7 +48,7 @@ TEST(FlashCrowdScenarioTest, BurstDrawsSkewVerdictsFromTheAutopsy) {
   uint64_t burst_skew = 0;
   uint64_t preburst_skew = 0;
   for (const BatchReport& report : summary.batches) {
-    const BatchAutopsy autopsy = ExplainBatch(report, opts.obs.autopsy);
+    const BatchAutopsy& autopsy = report.autopsy;
     const bool skew = autopsy.dominant == BatchCause::kBucketSkew ||
                       autopsy.dominant == BatchCause::kStragglerCore;
     if (!skew) continue;

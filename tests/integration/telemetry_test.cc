@@ -91,7 +91,6 @@ EngineOptions TelemetryOptions() {
   opts.batch_interval = Millis(250);
   opts.ingest.shards = 2;
   opts.obs.collect_partition_metrics = true;
-  opts.obs.autopsy_enabled = true;
   // Floor the autopsy at 15% of the interval: base Zipf(1.0) skew under
   // hash allocation stays below it, the injected hot key does not.
   opts.obs.autopsy.min_excess_frac = 0.15;
@@ -116,9 +115,10 @@ TEST(TelemetryIntegrationTest, HotKeyShiftIsAutopsiedAsBucketSkew) {
   RunSummary summary = engine.Run(kBatches);
   ASSERT_EQ(collector.reports_.size(), kBatches);
 
-  const AutopsyOptions autopsy_opts = engine.options().obs.autopsy;
+  // Observers see each report with the verdict the engine explained.
   for (const BatchReport& report : collector.reports_) {
-    const BatchAutopsy a = ExplainBatch(report, autopsy_opts);
+    const BatchAutopsy& a = report.autopsy;
+    EXPECT_EQ(a.batch_id, report.batch_id);
     if (report.batch_id < kShiftBatch) {
       EXPECT_EQ(a.dominant, BatchCause::kNone)
           << "pre-shift batch " << report.batch_id << " blamed on "
@@ -135,10 +135,9 @@ TEST(TelemetryIntegrationTest, HotKeyShiftIsAutopsiedAsBucketSkew) {
     }
   }
 
-  // The engine-side autopsy tracked the same run.
-  EXPECT_EQ(engine.observability()->last_autopsy().batch_id, kBatches - 1);
-  EXPECT_EQ(engine.observability()->last_autopsy().dominant,
-            BatchCause::kBucketSkew);
+  // The run summary carries the same verdicts.
+  EXPECT_EQ(summary.batches.back().autopsy.batch_id, kBatches - 1);
+  EXPECT_EQ(summary.batches.back().autopsy.dominant, BatchCause::kBucketSkew);
 }
 
 TEST(TelemetryIntegrationTest, TimeSeriesSeesTheShift) {

@@ -1,7 +1,7 @@
 // End-to-end tests of the observability subsystem driven through the
 // engine: one trace per batch, depth-0 span coverage of the reported
-// latency (the ISSUE acceptance bar), embedded ingest metrics, the
-// deprecated-alias migration and the zero-cost-when-disabled contract.
+// latency (the acceptance bar), embedded ingest metrics and the
+// zero-cost-when-disabled contract.
 #include "obs/observability.h"
 
 #include <gtest/gtest.h>
@@ -220,7 +220,7 @@ TEST(ObservabilityTest, MetricsSnapshotJsonlFile) {
     report.batch_id = id;
     report.num_tuples = 100;
     report.latency = 1000;
-    obs.OnBatchComplete(report, BatchTrace{});
+    obs.OnBatchComplete(report, BatchTrace{}, obs.AddStream({}));
   }
   obs.OnRunEnd();
 
@@ -242,10 +242,9 @@ TEST(ObservabilityTest, MetricsSnapshotJsonlFile) {
 TEST(ObservabilityTest, AutopsyPathWritesOneJsonlRecordPerBatch) {
   const std::string path = ::testing::TempDir() + "/autopsy.jsonl";
   ObservabilityOptions options;
-  options.autopsy_path = path;  // implies autopsy_enabled
+  options.autopsy_path = path;
   Observability obs(options);
   ASSERT_TRUE(obs.init_status().ok());
-  EXPECT_TRUE(obs.autopsy_enabled());
   EXPECT_TRUE(obs.active());
 
   BatchReport report;
@@ -253,12 +252,11 @@ TEST(ObservabilityTest, AutopsyPathWritesOneJsonlRecordPerBatch) {
   for (uint64_t id = 0; id < 3; ++id) {
     report.batch_id = id;
     report.queue_delay = id == 2 ? 400000 : 0;  // only batch 2 queues
-    obs.OnBatchComplete(report, BatchTrace{});
+    // The batch loop explains each report before publishing it.
+    report.autopsy = ExplainBatch(report);
+    obs.OnBatchComplete(report, BatchTrace{}, obs.AddStream({}));
   }
   obs.OnRunEnd();
-
-  EXPECT_EQ(obs.last_autopsy().batch_id, 2u);
-  EXPECT_EQ(obs.last_autopsy().dominant, BatchCause::kQueueing);
 
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open());
@@ -268,6 +266,7 @@ TEST(ObservabilityTest, AutopsyPathWritesOneJsonlRecordPerBatch) {
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines[0].find("\"record\":\"autopsy\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"dominant\":\"none\""), std::string::npos);
+  EXPECT_NE(lines[2].find("\"batch_id\":2,"), std::string::npos) << lines[2];
   EXPECT_NE(lines[2].find("\"dominant\":\"queueing\""), std::string::npos)
       << lines[2];
 }
@@ -284,7 +283,7 @@ TEST(ObservabilityTest, TimeSeriesOptionsCreateAndFeedTheStore) {
   for (uint64_t id = 0; id < 6; ++id) {
     report.batch_id = id;
     report.latency = static_cast<TimeMicros>(1000 * (id + 1));
-    obs.OnBatchComplete(report, BatchTrace{});
+    obs.OnBatchComplete(report, BatchTrace{}, obs.AddStream({}));
   }
   EXPECT_EQ(obs.timeseries()->total_observed(), 6u);
   EXPECT_EQ(obs.timeseries()->size(), 4u);  // wrapped

@@ -2,24 +2,30 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
+
 namespace prompt {
 namespace {
 
-TEST(TraceRecorderTest, ExplicitSpansTileTheLatency) {
-  TraceRecorder recorder;
-  recorder.BeginBatch(/*batch_id=*/7, /*batch_start=*/1000000);
-  recorder.AddSpan("accumulate", 0, 1000000);
-  recorder.AddSpan("map", 1000000, 60000);
-  recorder.AddSpan("reduce", 1060000, 40000);
-  const BatchTrace& trace = recorder.EndBatch(/*num_tuples=*/500,
-                                              /*num_keys=*/100,
-                                              /*latency=*/1100000);
+TEST(TraceOfTest, DepthZeroSpansTileTheLatency) {
+  BatchReport report;
+  report.batch_id = 7;
+  report.batch_interval = 1000000;
+  report.num_tuples = 500;
+  report.num_keys = 100;
+  report.map_makespan = 60000;
+  report.reduce_makespan = 40000;
+  report.processing_time = 100000;
+  report.latency = 1100000;
+  const BatchTrace trace = TraceOf(report, /*batch_start=*/1000000,
+                                   /*partition_cost_scale=*/1.0);
 
   EXPECT_EQ(trace.batch_id, 7u);
   EXPECT_EQ(trace.batch_start, 1000000);
   EXPECT_EQ(trace.num_tuples, 500u);
   EXPECT_EQ(trace.num_keys, 100u);
-  ASSERT_EQ(trace.spans.size(), 3u);
+  EXPECT_EQ(trace.latency, 1100000);
+  ASSERT_EQ(trace.spans.size(), 3u);  // accumulate, map, reduce
   EXPECT_EQ(trace.TopLevelTotal(), 1100000);
   EXPECT_DOUBLE_EQ(trace.Coverage(), 1.0);
 
@@ -30,68 +36,28 @@ TEST(TraceRecorderTest, ExplicitSpansTileTheLatency) {
   EXPECT_EQ(trace.FindSpan("no_such_span"), nullptr);
 }
 
-TEST(TraceRecorderTest, NestedSpansArePlacedAsAnnotations) {
-  TraceRecorder recorder;
-  recorder.BeginBatch(0, 0);
-  recorder.AddSpan("accumulate", 0, 1000);
-  recorder.AddSpan("seal_barrier", 1000, 40, /*depth=*/1);
-  recorder.AddSpan("kway_merge", 1040, 10, /*depth=*/1);
-  const BatchTrace& trace = recorder.EndBatch(1, 1, 1000);
+TEST(TraceOfTest, IngestSpansAreAnnotations) {
+  BatchReport report;
+  report.batch_interval = 1000;
+  report.latency = 1000;
+  report.has_ingest = true;
+  report.ingest.seal_barrier_latency = 40;
+  report.ingest.merge_latency = 10;
+  const BatchTrace trace = TraceOf(report, 0, 1.0);
 
   // Depth-1 spans annotate; only depth-0 spans count toward coverage.
   EXPECT_EQ(trace.TopLevelTotal(), 1000);
   EXPECT_DOUBLE_EQ(trace.Coverage(), 1.0);
+  ASSERT_NE(trace.FindSpan("seal_barrier"), nullptr);
   EXPECT_EQ(trace.FindSpan("seal_barrier")->depth, 1u);
+  EXPECT_EQ(trace.FindSpan("kway_merge")->duration, 10);
 }
 
-TEST(TraceRecorderTest, ScopedSpansNestByOpenCount) {
-  TraceRecorder recorder;
-  recorder.BeginBatch(0, 0);
-  {
-    auto outer = recorder.StartSpan("outer");
-    {
-      auto inner = recorder.StartSpan("inner");
-    }  // inner closes first
-  }
-  const BatchTrace& trace = recorder.EndBatch(0, 0, 0);
-  ASSERT_EQ(trace.spans.size(), 2u);
-  EXPECT_EQ(trace.FindSpan("outer")->depth, 0u);
-  EXPECT_EQ(trace.FindSpan("inner")->depth, 1u);
-  // Wall-clock scopes: inner is contained in outer.
-  EXPECT_LE(trace.FindSpan("inner")->duration,
-            trace.FindSpan("outer")->duration);
-}
-
-TEST(TraceRecorderTest, ScopeEndIsIdempotent) {
-  TraceRecorder recorder;
-  recorder.BeginBatch(0, 0);
-  auto span = recorder.StartSpan("work");
-  span.End();
-  span.End();  // no-op
-  const BatchTrace& trace = recorder.EndBatch(0, 0, 0);
-  EXPECT_EQ(trace.spans.size(), 1u);
-}
-
-TEST(TraceRecorderTest, CoverageReportsMissingSpans) {
-  TraceRecorder recorder;
-  recorder.BeginBatch(0, 0);
-  recorder.AddSpan("accumulate", 0, 900);
-  const BatchTrace& trace = recorder.EndBatch(0, 0, 1000);
+TEST(BatchTraceTest, CoverageReportsMissingSpans) {
+  BatchTrace trace;
+  trace.latency = 1000;
+  trace.spans.push_back(TraceSpan{"accumulate", 0, 900, 0});
   EXPECT_DOUBLE_EQ(trace.Coverage(), 0.9);
-}
-
-TEST(TraceRecorderTest, RecorderIsReusableAcrossBatches) {
-  TraceRecorder recorder;
-  recorder.BeginBatch(0, 0);
-  recorder.AddSpan("a", 0, 10);
-  recorder.EndBatch(0, 0, 10);
-
-  recorder.BeginBatch(1, 500);
-  const BatchTrace& second = recorder.current();
-  EXPECT_EQ(second.batch_id, 1u);
-  EXPECT_TRUE(second.spans.empty());
-  recorder.AddSpan("b", 0, 20);
-  EXPECT_EQ(recorder.EndBatch(0, 0, 20).spans.size(), 1u);
 }
 
 }  // namespace

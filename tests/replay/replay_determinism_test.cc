@@ -50,7 +50,6 @@ EngineOptions RecordOptions(const std::string& journal_dir) {
   opts.map_tasks = 4;
   opts.reduce_tasks = 3;
   opts.obs.collect_partition_metrics = true;
-  opts.obs.autopsy_enabled = true;
   opts.journal.dir = journal_dir;
   return opts;
 }
@@ -90,6 +89,28 @@ TEST(ReplayDeterminismTest, SingleTenantRoundTripsAcrossShardCounts) {
         << "shards=" << shards << ": " << result.diff.summary;
     EXPECT_EQ(result.diff.identical_batches, 8u);
   }
+}
+
+// Alg. 1's update budget orders the sealed keys, so a sharded run off the
+// default budget must replay on the budget it recorded.
+TEST(ReplayDeterminismTest, IngestBudgetReplaysAsRecorded) {
+  const std::string journal_dir = FreshDir("replay_budget");
+  const std::string output_dir = FreshDir("replay_budget.out");
+  {
+    auto source = MakeSource();
+    EngineOptions opts = RecordOptions(journal_dir);
+    opts.ingest.shards = 2;
+    opts.ingest.accumulator_options.budget = 1;
+    MicroBatchEngine engine(opts, JobSpec::WordCount(4),
+                            CreatePartitioner(PartitionerType::kPrompt),
+                            source.get());
+    ASSERT_TRUE(engine.init_status().ok());
+    engine.Run(8);
+  }
+  const ReplayResult result = MustReplay(journal_dir, output_dir);
+  EXPECT_TRUE(result.manifest_match);
+  EXPECT_TRUE(result.diff.identical) << result.diff.summary;
+  EXPECT_EQ(result.diff.identical_batches, 8u);
 }
 
 TEST(ReplayDeterminismTest, AdaptiveRunReplaysSwitchForSwitch) {

@@ -124,7 +124,10 @@ class MultiTenantDifferentialTest : public ::testing::TestWithParam<SealPath> {
 // indistinguishable from MicroBatchEngine on every seal path: the two entry
 // points' option mappings stay equivalent. Per batch, every deterministic
 // report field (the thread-timed ingest fields aside) and the final window
-// must be bit-identical.
+// must be bit-identical. The partition overflow, and with it the processing
+// time and latency, derives from the measured decision cost (and, sharded,
+// the measured merge latency), so the multi-tenant run replays the wall-clock
+// inputs the solo run journaled, as --replay does.
 TEST_P(MultiTenantDifferentialTest, SingleTenantMatchesMicroBatchEngine) {
   const SealPath& path = GetParam();
   const std::string kQuery = "SELECT COUNT WINDOW 800MS SLIDE 200MS";
@@ -133,6 +136,9 @@ TEST_P(MultiTenantDifferentialTest, SingleTenantMatchesMicroBatchEngine) {
   ingest.shards = path.shards;
   ingest.key_mode = path.key_mode;
   ingest.accumulator_options.sketch.capacity = 256;
+  const std::string journal_dir = ::testing::TempDir() + "/mt_differential_" +
+                                  ::testing::PrintToString(path);
+  std::filesystem::remove_all(journal_dir);
 
   auto solo_source = MakeSource(40000, 1.0, 5000);
   CompiledQuery q = CountQuery(kQuery);
@@ -144,13 +150,20 @@ TEST_P(MultiTenantDifferentialTest, SingleTenantMatchesMicroBatchEngine) {
   solo_opts.reduce_tasks = 4;
   solo_opts.cores = 4;
   solo_opts.ingest = ingest;
+  solo_opts.journal.dir = journal_dir;
   MicroBatchEngine solo(solo_opts, job, CreatePartitioner(path.technique),
                         solo_source.get());
+  ASSERT_TRUE(solo.init_status().ok());
   RunSummary solo_summary = solo.Run(kBatches);
+  auto journal = ReadJournal(journal_dir);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_EQ(journal->attempts.size(), 1u);
 
   auto mt_source = MakeSource(40000, 1.0, 5000);
   MultiTenantEngineOptions mt_opts = FastOptions(/*total_slots=*/4);
   mt_opts.ingest = ingest;
+  mt_opts.journal.inject =
+      std::make_shared<const ReplayEnv>(journal->attempts[0].envs);
   TenantQuerySpec spec = MakeSpec("solo", 1, kQuery);
   spec.technique = path.technique;
   auto mt = MultiTenantEngine::Create(mt_opts, {spec}, mt_source.get());
@@ -446,6 +459,8 @@ TEST(MultiTenantEngineTest, EarlyRestartRecoversEveryStoredBatch) {
 // batch id: one record per tenant per heartbeat, in tenant order.
 TEST(MultiTenantEngineTest, TraceRecordsNameTheirTenant) {
   auto source = MakeSource(20000, 1.1, 800, 5);
+  // Declared before the engine, whose sink writes to it until destruction.
+  std::ostringstream out;
   auto mt = MultiTenantEngine::Create(
       FastOptions(/*total_slots=*/4),
       {MakeSpec("even", 1, "SELECT COUNT WINDOW 600MS SLIDE 200MS",
@@ -455,7 +470,6 @@ TEST(MultiTenantEngineTest, TraceRecordsNameTheirTenant) {
       source.get());
   ASSERT_TRUE(mt.ok()) << mt.status().message();
   MultiTenantEngine& engine = *mt.ValueOrDie();
-  std::ostringstream out;
   engine.observability()->AddTraceSink(std::make_unique<JsonlTraceSink>(&out));
   engine.Run(3);
 

@@ -255,10 +255,8 @@ int RunMultiTenant(const std::string& queries_path, DatasetId dataset,
   options.obs.serve_port = serve_port;
   options.obs.autopsy_path = autopsy_path;
   options.obs.trace_path = trace_path;
-  if (!autopsy_path.empty()) {
-    options.obs.autopsy_enabled = true;
-    options.obs.collect_partition_metrics = true;
-  }
+  // The straggler/split-key rules read the partition-metrics pass.
+  if (!autopsy_path.empty()) options.obs.collect_partition_metrics = true;
 
   options.store = store;
   options.journal.dir = record_dir;
@@ -542,9 +540,8 @@ int main(int argc, char** argv) {
   options.obs.metrics_path = metrics_path;
   options.obs.serve_port = *serve_port;
   options.obs.autopsy_path = autopsy_path;
+  // The straggler/split-key rules read the partition-metrics pass.
   if (*explain_batch >= 0 || !autopsy_path.empty()) {
-    options.obs.autopsy_enabled = true;
-    // The straggler/split-key rules read the partition-metrics pass.
     options.obs.collect_partition_metrics = true;
   }
   options.ingest.shards = static_cast<uint32_t>(*ingest_shards);
@@ -723,8 +720,7 @@ int main(int argc, char** argv) {
                                      std::to_string(summary.batches.size() - 1)));
     }
     std::printf("\n");
-    WriteAutopsyText(ExplainBatch(*target, options.obs.autopsy), *target,
-                     &std::cout);
+    WriteAutopsyText(target->autopsy, *target, &std::cout);
   }
 
   if (!trace_path.empty()) {
